@@ -40,7 +40,8 @@ from .executor import (
     run_end_to_end,
     trace_to_dot,
 )
-from .metrics import ZERO_METRICS, PlanMetrics, score_pair, summarize
+# score_pair and summarize stay bound for perfbench's traced runs.
+from .metrics import METRIC_FIELDS, evaluate_groups, score_pair, summarize  # noqa: F401
 from .pipeline import (
     DIFFICULTIES,
     DifficultyConfig,
@@ -50,8 +51,6 @@ from .pipeline import (
 )
 from .plan import PlanSyntaxError, parse_plan, to_dot, validate_text
 from .reward import score_plan
-
-_METRIC_COLUMNS = ("node_p", "node_r", "node_f1", "edge_p", "edge_r", "edge_f1", "exact_match")
 
 
 def _err(message: str) -> None:
@@ -149,10 +148,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             print(f"syntax error: {report.reason}")
         return 2
     if args.dot:
-        Path(args.dot).write_text(
-            to_dot(parse_plan(_read_text(args.plan), self_loops=args.self_loop)),
-            encoding="utf-8",
-        )
+        Path(args.dot).write_text(to_dot(report.graph), encoding="utf-8")
     if not args.json:
         if report.first_cycle:
             print("cycle: " + " -> ".join(report.first_cycle))
@@ -243,10 +239,16 @@ def cmd_score(args: argparse.Namespace) -> int:
 # --- eval ---------------------------------------------------------------
 
 
-def _metrics_row(label: str, summary) -> str:
-    cells = [f"{label:<10}", f"{summary.count:>5}", f"{summary.failures:>5}"]
-    cells += [f"{getattr(summary, f):>8.3f}" for f in _METRIC_COLUMNS]
-    return " ".join(cells)
+def _print_metrics_table(doc: dict[str, Any]) -> None:
+    """Print an eval document's per-group rows, then its overall row."""
+    print(" ".join([f"{'group':<10}", f"{'n':>5}", f"{'fail':>5}"]
+                   + [f"{c:>8}" for c in METRIC_FIELDS]))
+    for name, group in {**doc["groups"], "Overall": doc.get("overall", {})}.items():
+        if not group:
+            continue
+        cells = [f"{name:<10}", f"{group.get('count', 0):>5}", f"{group.get('failures', 0):>5}"]
+        cells += [f"{group.get(c, 0.0):>8.3f}" for c in METRIC_FIELDS]
+        print(" ".join(cells))
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -258,39 +260,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
             return 2
         predictions[pred_id] = text
 
-    per_group: dict[str, tuple[list[PlanMetrics], int]] = {}
-    for record in dataset:
-        rows, failures = per_group.setdefault(record.difficulty, ([], 0))
-        text = predictions.get(record.record_id)
-        try:
-            if text is None:
-                raise PlanSyntaxError("no prediction for record")
-            candidate = parse_plan(text, self_loops=args.self_loop)
-        except PlanSyntaxError:
-            per_group[record.difficulty] = (rows + [ZERO_METRICS], failures + 1)
-            continue
-        per_group[record.difficulty] = (rows + [score_pair(candidate, record.gold_plan)], failures)
-
-    header = " ".join(
-        [f"{'group':<10}", f"{'n':>5}", f"{'fail':>5}"]
-        + [f"{c:>8}" for c in _METRIC_COLUMNS]
+    groups, overall = evaluate_groups(
+        ((r.difficulty, predictions.get(r.record_id), r.gold_plan) for r in dataset),
+        self_loops=args.self_loop,
     )
-    print(header)
-    doc: dict[str, Any] = {"groups": {}}
-    all_rows: list[PlanMetrics] = []
-    all_failures = 0
-    for difficulty in DIFFICULTIES:
-        if difficulty not in per_group:
-            continue
-        rows, failures = per_group[difficulty]
-        summary = summarize(rows, failures)
-        doc["groups"][difficulty] = summary.to_dict()
-        all_rows += rows
-        all_failures += failures
-        print(_metrics_row(difficulty, summary))
-    overall = summarize(all_rows, all_failures)
-    doc["overall"] = overall.to_dict()
-    print(_metrics_row("Overall", overall))
+    doc: dict[str, Any] = {
+        "groups": {d: groups[d].to_dict() for d in DIFFICULTIES if d in groups},
+        "overall": overall.to_dict(),
+    }
+    _print_metrics_table(doc)
     if args.out:
         _write_json(args.out, doc)
         _write_manifest(args.out, "eval", {"predictions": args.predictions,
@@ -458,15 +436,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     doc = json.loads(_read_text(args.summary))
     if "groups" in doc:
-        header = " ".join([f"{'group':<10}", f"{'n':>5}", f"{'fail':>5}"]
-                          + [f"{c:>8}" for c in _METRIC_COLUMNS])
-        print(header)
-        for name, group in {**doc["groups"], "Overall": doc.get("overall", {})}.items():
-            if not group:
-                continue
-            cells = [f"{name:<10}", f"{group.get('count', 0):>5}", f"{group.get('failures', 0):>5}"]
-            cells += [f"{group.get(c, 0.0):>8.3f}" for c in _METRIC_COLUMNS]
-            print(" ".join(cells))
+        _print_metrics_table(doc)
     elif "branches" in doc:
         print(f"{'branch':<14}{'count':>7}")
         for branch, count in doc["branches"].items():

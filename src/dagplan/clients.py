@@ -38,6 +38,39 @@ class CompletionClient(abc.ABC):
         raise NotImplementedError
 
 
+def http_request(
+    request: urllib.request.Request,
+    timeout: float,
+    *,
+    attempts: int,
+    backoff: float,
+    max_backoff: float,
+    error: type[Exception],
+    label: str,
+) -> str:
+    """Send one HTTP request and return the decoded body, retrying transient failures.
+
+    Connection errors, timeouts and HTTP 429/5xx are retried, up to
+    ``attempts`` tries in all; try k > 0 first sleeps
+    ``min(backoff * 2**(k-1), max_backoff)`` seconds.  Any other HTTP status,
+    or running out of attempts, raises ``error`` with ``label`` in its message.
+    """
+    last: Exception | None = None
+    for attempt in range(attempts):
+        if attempt:
+            time.sleep(min(backoff * 2 ** (attempt - 1), max_backoff))
+        try:
+            with urllib.request.urlopen(request, timeout=timeout) as response:
+                return response.read().decode("utf-8")
+        except urllib.error.HTTPError as exc:
+            if exc.code != 429 and exc.code < 500:
+                raise error(f"{label}: HTTP {exc.code}") from exc
+            last = exc
+        except (urllib.error.URLError, TimeoutError, OSError) as exc:
+            last = exc
+    raise error(f"{label}: failed after {attempts} attempts: {last}")
+
+
 class HttpCompletionClient(CompletionClient):
     """Chat-completion style HTTP client.
 
@@ -81,26 +114,16 @@ class HttpCompletionClient(CompletionClient):
         if secret:
             headers["Authorization"] = f"Bearer {secret}"
         url = f"{self.base_url}/chat/completions"
-        last_error: Exception | None = None
-        for attempt in range(self.max_retries):
-            if attempt:
-                time.sleep(min(self.backoff * 2 ** (attempt - 1), self.max_backoff))
-            request = urllib.request.Request(url, data=body, headers=headers, method="POST")
-            try:
-                with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                    doc = json.loads(response.read().decode("utf-8"))
-                return self._extract(doc)
-            except urllib.error.HTTPError as exc:
-                if exc.code == 429 or exc.code >= 500:
-                    last_error = exc
-                    continue
-                raise ClientError(f"HTTP {exc.code} from {url}") from exc
-            except (urllib.error.URLError, TimeoutError, OSError) as exc:
-                last_error = exc
-                continue
-            except json.JSONDecodeError as exc:
-                raise ClientError(f"non-JSON response from {url}") from exc
-        raise ClientError(f"request to {url} failed after {self.max_retries} attempts: {last_error}")
+        text = http_request(
+            urllib.request.Request(url, data=body, headers=headers, method="POST"), self.timeout,
+            attempts=self.max_retries, backoff=self.backoff, max_backoff=self.max_backoff,
+            error=ClientError, label=url,
+        )
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ClientError(f"non-JSON response from {url}") from exc
+        return self._extract(doc)
 
     @staticmethod
     def _extract(doc: dict) -> str:

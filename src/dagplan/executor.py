@@ -22,8 +22,8 @@ from __future__ import annotations
 import abc
 import hashlib
 import json
+import math
 import time
-import urllib.error
 import urllib.parse
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -32,16 +32,11 @@ from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence
 
 from .catalog import ToolSpec
-from .clients import CompletionClient
-from .plan import (
-    CycleError,
-    PlanGraph,
-    PlanSyntaxError,
-    check_connectivity,
-    detect_cycle,
-    parse_plan,
-    to_dot,
-    topo_order,
+from .clients import CompletionClient, http_request
+# check_connectivity, detect_cycle and parse_plan stay bound for perfbench's traced runs.
+from .plan import (  # noqa: F401
+    CycleError, PlanGraph, check_connectivity, detect_cycle, parse_plan, to_dot, topo_order,
+    validate_text,
 )
 from .prompts import replan_prompt, synthesis_prompt
 from .reward import RewardBranch
@@ -160,27 +155,15 @@ class HttpRegistry(ToolRegistry):
                 url += ("&" if "?" in url else "?") + urllib.parse.urlencode(flat)
         else:
             data = json.dumps(dict(args)).encode("utf-8")
-        last: Exception | None = None
-        for attempt in range(self._retries + 1):
-            if attempt:
-                time.sleep(self._backoff * 2 ** (attempt - 1))
-            request = urllib.request.Request(url, data=data, headers=headers, method=method)
-            try:
-                with urllib.request.urlopen(request, timeout=timeout) as response:
-                    body = response.read().decode("utf-8")
-                try:
-                    return json.loads(body)
-                except json.JSONDecodeError:
-                    return {"text": body}
-            except urllib.error.HTTPError as exc:
-                if exc.code == 429 or exc.code >= 500:
-                    last = exc
-                    continue
-                raise ToolError(f"{tool_id}: HTTP {exc.code}") from exc
-            except (urllib.error.URLError, TimeoutError, OSError) as exc:
-                last = exc
-                continue
-        raise ToolError(f"{tool_id}: failed after {self._retries + 1} attempts: {last}")
+        body = http_request(
+            urllib.request.Request(url, data=data, headers=headers, method=method), timeout,
+            attempts=self._retries + 1, backoff=self._backoff, max_backoff=math.inf,
+            error=ToolError, label=tool_id,
+        )
+        try:
+            return json.loads(body)
+        except json.JSONDecodeError:
+            return {"text": body}
 
 
 # --- argument references ------------------------------------------------------
@@ -443,17 +426,10 @@ def run_end_to_end(
     answer is the serialized leaf outputs and the trace reports 1.
     """
     raw = planner.complete(replan_prompt(query, candidate_tools))
-    try:
-        plan = parse_plan(raw, self_loops=self_loops)
-    except PlanSyntaxError as exc:
-        raise PlanRejectedError(RewardBranch.SYNTAX, exc.reason, raw) from None
-    cycle = detect_cycle(plan)
-    if cycle is not None:
-        raise PlanRejectedError(RewardBranch.CYCLE, " -> ".join(cycle), raw)
-    connected, isolated = check_connectivity(plan)
-    if not connected:
-        what = "isolated nodes: " + ", ".join(isolated) if isolated else "multiple components"
-        raise PlanRejectedError(RewardBranch.CONNECTIVITY, what, raw)
+    report = validate_text(raw, self_loops=self_loops)
+    if not report.fully_valid:
+        raise PlanRejectedError(RewardBranch(report.failed_check), report.detail, raw)
+    plan = report.graph
 
     trace = execute(plan, registry, policy, max_workers=max_workers)
     leaves = leaf_outputs(plan, trace)

@@ -9,14 +9,14 @@ can never disagree: both sides empty scores 1.0, exactly one side empty scores
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-import numpy as np
-
 from .plan import PlanGraph, PlanSyntaxError, parse_plan
 
-_METRIC_FIELDS = (
+METRIC_FIELDS = (
     "node_p", "node_r", "node_f1",
     "edge_p", "edge_r", "edge_f1",
     "exact_match",
@@ -51,7 +51,7 @@ class PlanMetrics:
     exact_match: int
 
     def to_dict(self) -> dict[str, Any]:
-        return {f: getattr(self, f) for f in _METRIC_FIELDS}
+        return {f: getattr(self, f) for f in METRIC_FIELDS}
 
 
 ZERO_METRICS = PlanMetrics(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0)
@@ -96,17 +96,38 @@ class MetricsSummary:
 
     def to_dict(self) -> dict[str, Any]:
         doc: dict[str, Any] = {"count": self.count, "failures": self.failures}
-        doc.update({f: getattr(self, f) for f in _METRIC_FIELDS})
+        doc.update({f: getattr(self, f) for f in METRIC_FIELDS})
         return doc
 
 
 def summarize(rows: list[PlanMetrics], failures: int) -> MetricsSummary:
     """Macro-average per-pair metrics (zeros already included for failures)."""
-    if not rows:
-        return MetricsSummary(0, failures, *([0.0] * 6), 0.0)
-    table = np.array([[getattr(m, f) for f in _METRIC_FIELDS] for m in rows], dtype=float)
-    means = table.mean(axis=0)
-    return MetricsSummary(len(rows), failures, *[float(v) for v in means])
+    means = [math.fsum(getattr(m, f) for m in rows) / max(len(rows), 1) for f in METRIC_FIELDS]
+    return MetricsSummary(len(rows), failures, *means)
+
+
+def evaluate_groups(
+    items: Iterable[tuple[str, str | None, PlanGraph]], *, self_loops: str = "reject"
+) -> tuple[dict[str, MetricsSummary], MetricsSummary]:
+    """Evaluate (group, candidate text or None, gold plan) triples by group.
+
+    Returns one summary per group, in order of first appearance, and one
+    over all triples.  A missing (None) or unparseable candidate is a
+    failure: it scores zero on every metric and increments ``failures``.
+    """
+    rows: dict[str, list[PlanMetrics]] = {}
+    failures: Counter[str] = Counter()
+    for group, text, gold in items:
+        try:
+            row = None if text is None else score_pair(parse_plan(text, self_loops=self_loops), gold)
+        except PlanSyntaxError:
+            row = None
+        if row is None:
+            failures[group] += 1
+        rows.setdefault(group, []).append(row or ZERO_METRICS)
+    per_group = {group: summarize(r, failures[group]) for group, r in rows.items()}
+    overall = summarize([m for r in rows.values() for m in r], sum(failures.values()))
+    return per_group, overall
 
 
 def evaluate_set(
@@ -117,14 +138,6 @@ def evaluate_set(
     Per-record parse failures are absorbed, never abort the run: the pair
     scores zero on every metric and increments ``failures``.
     """
-    rows: list[PlanMetrics] = []
-    failures = 0
-    for text, gold in pairs:
-        try:
-            candidate = parse_plan(text, self_loops=self_loops)
-        except PlanSyntaxError:
-            rows.append(ZERO_METRICS)
-            failures += 1
-            continue
-        rows.append(score_pair(candidate, gold))
-    return summarize(rows, failures)
+    return evaluate_groups(
+        (("", text, gold) for text, gold in pairs), self_loops=self_loops
+    )[1]

@@ -20,7 +20,7 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Collection, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .catalog import ToolLibrary, ToolSpec
 from .clients import ClientError, CompletionClient, EmptyResponseError
@@ -30,11 +30,10 @@ from .plan import (
     PlanNode,
     PlanEdge,
     PlanSyntaxError,
-    check_connectivity,
-    detect_cycle,
     parse_plan,
     serialize_plan,
     topo_order,
+    validate_graph,
 )
 from .prompts import query_prompt, replan_prompt, workflow_prompt
 
@@ -139,12 +138,9 @@ class DatasetRecord:
             raise ValueError(f"{self.record_id}: unknown difficulty {self.difficulty!r}")
         if len(self.gold_plan) == 0:
             raise ValueError(f"{self.record_id}: gold plan is empty")
-        cycle = detect_cycle(self.gold_plan)
-        if cycle is not None:
-            raise ValueError(f"{self.record_id}: gold plan is cyclic")
-        connected, _ = check_connectivity(self.gold_plan)
-        if not connected:
-            raise ValueError(f"{self.record_id}: gold plan is disconnected")
+        report = validate_graph(self.gold_plan)
+        if not report.fully_valid:
+            raise ValueError(f"{self.record_id}: gold plan fails {report.failed_check}: {report.detail}")
         offered = set(self.candidate_tools)
         if len(offered) != len(self.candidate_tools):
             raise ValueError(f"{self.record_id}: duplicate candidate tools")
@@ -209,13 +205,11 @@ def load_records(path: str | Path) -> list[DatasetRecord]:
 # --- stage 1: workflow generation -----------------------------------------
 
 
-def _has_branch_point(n: int, edges: set[tuple[int, int]]) -> bool:
-    out_deg = [0] * n
-    in_deg = [0] * n
-    for u, v in edges:
-        out_deg[u] += 1
-        in_deg[v] += 1
-    return any(d >= 2 for d in out_deg) or any(d >= 2 for d in in_deg)
+def _has_branch_point(edges: Collection[tuple[Hashable, Hashable]]) -> bool:
+    """Whether, among distinct edges, some node has two successors or two predecessors."""
+    srcs = [u for u, _ in edges]
+    dsts = [v for _, v in edges]
+    return len(set(srcs)) < len(srcs) or len(set(dsts)) < len(dsts)
 
 
 def _layered_dag(rng: random.Random, tools: Sequence[str], *, need_branch: bool) -> PlanGraph:
@@ -269,7 +263,7 @@ def _layered_dag(rng: random.Random, tools: Sequence[str], *, need_branch: bool)
         edges.add((u, v))
         parent[find(u)] = find(v)
 
-    if need_branch and n >= 3 and not _has_branch_point(n, edges):
+    if need_branch and n >= 3 and not _has_branch_point(edges):
         # Connected with every degree <= 1 means the graph is a single chain.
         succ = {u: v for u, v in edges}
         start = next(i for i in range(n) if i not in {v for _, v in edges})
@@ -290,16 +284,10 @@ def _workflow_ok(
         return False
     if plan.tool_set - offered:
         return False
-    if detect_cycle(plan) is not None:
-        return False
-    connected, _ = check_connectivity(plan)
-    if not connected:
+    if not validate_graph(plan).fully_valid:
         return False
     if need_branch and len(plan) >= 3:
-        degrees = [len(plan.successors[n.id]) for n in plan.nodes]
-        degrees += [len(plan.predecessors[n.id]) for n in plan.nodes]
-        if max(degrees) < 2:
-            return False
+        return _has_branch_point(plan.edge_pairs)
     return True
 
 
@@ -390,15 +378,6 @@ class ReplanOutcome:
     reason: str
 
 
-def _usable_gold(plan: PlanGraph, offered: set[str]) -> bool:
-    if len(plan) == 0 or plan.tool_set - offered:
-        return False
-    if detect_cycle(plan) is not None:
-        return False
-    connected, _ = check_connectivity(plan)
-    return connected
-
-
 def replan_and_filter(
     query: str,
     candidate_tools: Sequence[ToolSpec | str],
@@ -435,7 +414,7 @@ def replan_and_filter(
             False, None, replan, pair.edge_f1,
             f"edge F1 {pair.edge_f1:.3f} below threshold {threshold}",
         )
-    if not _usable_gold(replan, offered):
+    if len(replan) == 0 or replan.tool_set - offered or not validate_graph(replan).fully_valid:
         return ReplanOutcome(False, None, replan, pair.edge_f1, "replan not structurally usable")
     return ReplanOutcome(True, replan, replan, pair.edge_f1, "within threshold")
 

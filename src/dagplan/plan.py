@@ -25,6 +25,7 @@ All types are immutable after construction and all functions are pure.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Iterator, Mapping
@@ -96,15 +97,15 @@ class PlanGraph:
             if node.id in ids:
                 raise ValueError(f"duplicate node id {node.id!r}")
             if node.tool in tools:
-                raise ValueError(f"tool {node.tool!r} referenced by more than one node")
+                raise ValueError(f"tool {node.tool!r} used by more than one node")
             ids.add(node.id)
             tools.add(node.tool)
         pairs = set()
         for edge in self.edges:
             if edge.src not in ids:
-                raise ValueError(f"edge references unknown endpoint {edge.src!r}")
+                raise ValueError(f"unknown endpoint {edge.src!r}")
             if edge.dst not in ids:
-                raise ValueError(f"edge references unknown endpoint {edge.dst!r}")
+                raise ValueError(f"unknown endpoint {edge.dst!r}")
             if (edge.src, edge.dst) in pairs:
                 raise ValueError(f"duplicate edge ({edge.src!r}, {edge.dst!r})")
             pairs.add((edge.src, edge.dst))
@@ -165,10 +166,12 @@ class PlanGraph:
 class ValidationReport:
     """Outcome of the three structural checks on one piece of plan text.
 
-    When ``syntax_ok`` is False there is no graph to inspect, so the
-    structural flags are vacuously true and carry no witnesses; check
-    ``syntax_ok`` before trusting them.  ``reason`` holds the parser's
-    complaint in that case.
+    This is the single verdict on a plan: the reward, the executor's gate and
+    the dataset pipeline all read it.  When ``syntax_ok`` is False there is no
+    graph to inspect, so the structural flags are vacuously true and carry no
+    witnesses; check ``syntax_ok`` before trusting them.  ``reason`` holds the
+    parser's complaint in that case.  ``graph`` is the parsed plan (None on a
+    syntax failure); it is not part of equality or of ``to_dict``.
     """
 
     syntax_ok: bool
@@ -177,10 +180,37 @@ class ValidationReport:
     first_cycle: tuple[str, ...] | None = None
     isolated_nodes: tuple[str, ...] = ()
     reason: str | None = None
+    graph: PlanGraph | None = field(default=None, compare=False, repr=False)
 
     @property
     def fully_valid(self) -> bool:
         return self.syntax_ok and self.is_acyclic and self.is_connected
+
+    @property
+    def failed_check(self) -> str | None:
+        """The first failing check, as the reward's ``RewardBranch`` value
+        (``"syntax"``, ``"cycle"`` or ``"connectivity"``); None when valid."""
+        if not self.syntax_ok:
+            return "syntax"
+        if not self.is_acyclic:
+            return "cycle"
+        if not self.is_connected:
+            return "connectivity"
+        return None
+
+    @property
+    def detail(self) -> str | None:
+        """The witness of ``failed_check``: the parser's reason, the cycle path
+        (``a -> b -> a``), or the isolated nodes; None when valid."""
+        if not self.syntax_ok:
+            return self.reason
+        if not self.is_acyclic:
+            return " -> ".join(self.first_cycle or ())
+        if self.is_connected:
+            return None
+        if self.isolated_nodes:
+            return "isolated nodes: " + ", ".join(self.isolated_nodes)
+        return "multiple components"
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -193,22 +223,38 @@ class ValidationReport:
         }
 
 
+def _finite_number(literal: str) -> float:
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ValueError(f"number {literal} is not finite")
+    return value
+
+
+# NaN, Infinity and overflowing floats would parse but cannot be serialized
+# back to valid JSON, so the decoder rejects them.
+_DECODER = json.JSONDecoder(parse_constant=_finite_number, parse_float=_finite_number)
+
+
 def parse_plan(text: str, *, self_loops: str = "reject") -> PlanGraph:
     """Interpret raw planner output as a PlanGraph.
 
     ``self_loops`` is ``"reject"`` (a self-edge is a syntax failure, the
     default) or ``"cycle"`` (keep it so the cycle check reports it instead).
     Raises PlanSyntaxError for anything that cannot be read as a plan:
-    non-JSON text, a non-object document, missing/ill-typed fields, duplicate
-    node ids, two nodes sharing a tool, or edge endpoints that name no node.
-    Repeated (from, to) pairs collapse to one edge.
+    non-JSON text (including ``NaN``/``Infinity``, numbers that overflow to
+    them, and nesting too deep to decode), a non-object document,
+    missing/ill-typed fields, or a graph that breaks a PlanGraph invariant
+    (duplicate node ids, two nodes sharing a tool, edge endpoints that name no
+    node).  Repeated (from, to) pairs collapse to one edge.
     """
     if self_loops not in ("reject", "cycle"):
         raise ValueError(f"self_loops must be 'reject' or 'cycle', got {self_loops!r}")
     try:
-        doc = json.loads(text)
+        doc = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise PlanSyntaxError(f"not valid JSON: {exc.msg} at position {exc.pos}") from None
+    except (ValueError, RecursionError) as exc:
+        raise PlanSyntaxError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise PlanSyntaxError("top-level value is not an object")
     if "nodes" not in doc:
@@ -221,8 +267,6 @@ def parse_plan(text: str, *, self_loops: str = "reject") -> PlanGraph:
         raise PlanSyntaxError('"edges" is not an array')
 
     nodes: list[PlanNode] = []
-    seen_ids: set[str] = set()
-    seen_tools: set[str] = set()
     for i, obj in enumerate(raw_nodes):
         if not isinstance(obj, dict):
             raise PlanSyntaxError(f"node #{i} is not an object")
@@ -235,16 +279,9 @@ def parse_plan(text: str, *, self_loops: str = "reject") -> PlanGraph:
             raise PlanSyntaxError(f"node {nid!r} has no usable tool")
         if not isinstance(args, dict):
             raise PlanSyntaxError(f"node {nid!r} args is not an object")
-        if nid in seen_ids:
-            raise PlanSyntaxError(f"duplicate node id {nid!r}")
-        if tool in seen_tools:
-            raise PlanSyntaxError(f"tool {tool!r} used by more than one node")
-        seen_ids.add(nid)
-        seen_tools.add(tool)
         nodes.append(PlanNode(nid, tool, args))
 
-    edges: list[PlanEdge] = []
-    seen_pairs: set[tuple[str, str]] = set()
+    pairs: dict[tuple[str, str], None] = {}
     for i, obj in enumerate(raw_edges):
         if not isinstance(obj, dict):
             raise PlanSyntaxError(f"edge #{i} is not an object")
@@ -252,18 +289,17 @@ def parse_plan(text: str, *, self_loops: str = "reject") -> PlanGraph:
         dst = obj.get("to")
         if not isinstance(src, str) or not src or not isinstance(dst, str) or not dst:
             raise PlanSyntaxError(f"edge #{i} lacks usable from/to endpoints")
-        if src not in seen_ids:
-            raise PlanSyntaxError(f"unknown endpoint {src!r}")
-        if dst not in seen_ids:
-            raise PlanSyntaxError(f"unknown endpoint {dst!r}")
-        if src == dst and self_loops == "reject":
-            raise PlanSyntaxError(f"self-loop on node {src!r}")
-        if (src, dst) in seen_pairs:
-            continue
-        seen_pairs.add((src, dst))
-        edges.append(PlanEdge(src, dst))
+        pairs[src, dst] = None
 
-    return PlanGraph(tuple(nodes), tuple(edges))
+    try:
+        graph = PlanGraph(tuple(nodes), tuple(PlanEdge(src, dst) for src, dst in pairs))
+    except ValueError as exc:
+        raise PlanSyntaxError(str(exc)) from None
+    if self_loops == "reject":
+        for edge in graph.edges:
+            if edge.src == edge.dst:
+                raise PlanSyntaxError(f"self-loop on node {edge.src!r}")
+    return graph
 
 
 def _canonical_args(value: Any) -> Any:
@@ -394,11 +430,12 @@ def validate_graph(g: PlanGraph) -> ValidationReport:
         is_connected=connected,
         first_cycle=tuple(cycle) if cycle else None,
         isolated_nodes=tuple(isolated),
+        graph=g,
     )
 
 
 def validate_text(text: str, *, self_loops: str = "reject") -> ValidationReport:
-    """Parse and structurally check raw plan text, never raising."""
+    """Parse and structurally check raw plan text, never raising on the text."""
     try:
         g = parse_plan(text, self_loops=self_loops)
     except PlanSyntaxError as exc:
@@ -408,15 +445,19 @@ def validate_text(text: str, *, self_loops: str = "reject") -> ValidationReport:
     return validate_graph(g)
 
 
+def _dot_quote(text: str) -> str:
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def to_dot(g: PlanGraph, waves: Mapping[str, int] | None = None) -> str:
-    """Render the plan as GraphViz DOT, optionally annotated with wave indices."""
+    """Render the plan as escaped GraphViz DOT, optionally annotated with wave indices."""
     lines = ["digraph plan {", "  rankdir=LR;"]
     for n in sorted(g.nodes, key=lambda n: n.id):
-        label = f"{n.id}\\n{n.tool}"
+        label = f"{_dot_quote(n.id)}\\n{_dot_quote(n.tool)}"
         if waves is not None and n.id in waves:
             label += f"\\nwave {waves[n.id]}"
-        lines.append(f'  "{n.id}" [label="{label}"];')
+        lines.append(f'  "{_dot_quote(n.id)}" [label="{label}"];')
     for e in sorted(g.edges, key=lambda e: (e.src, e.dst)):
-        lines.append(f'  "{e.src}" -> "{e.dst}";')
+        lines.append(f'  "{_dot_quote(e.src)}" -> "{_dot_quote(e.dst)}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -18,19 +18,13 @@ group-relative policy optimization; the policy update itself is out of scope.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
-import numpy as np
-
 from .metrics import set_prf
-from .plan import (
-    PlanGraph,
-    PlanSyntaxError,
-    check_connectivity,
-    detect_cycle,
-    parse_plan,
-)
+# check_connectivity and parse_plan stay bound for perfbench's traced runs.
+from .plan import PlanGraph, check_connectivity, detect_cycle, parse_plan, validate_text  # noqa: F401
 
 SYNTAX_PENALTY = -10.0
 CYCLE_PENALTY = -10.0
@@ -48,6 +42,13 @@ class RewardBranch(str, enum.Enum):
     CYCLE = "cycle"
     CONNECTIVITY = "connectivity"
     FIDELITY = "fidelity"
+
+
+_PENALTIES = {
+    RewardBranch.SYNTAX: SYNTAX_PENALTY,
+    RewardBranch.CYCLE: CYCLE_PENALTY,
+    RewardBranch.CONNECTIVITY: CONNECTIVITY_PENALTY,
+}
 
 
 class InvalidGoldError(ValueError):
@@ -93,7 +94,8 @@ def score_plan(
     """Score raw candidate text against a gold plan, fail-fast.
 
     Checks run in strict precedence — syntax, then cycle, then connectivity —
-    and the first failing level's penalty is returned.  Candidates passing all
+    and the first failing level's penalty is returned; the verdict and its
+    witness are those of ``validate_text``.  Candidates passing all
     three score ``5*edge_f1 + 5*perfect_match`` where edges compare as
     (source tool, target tool) pairs and perfect match means node-set and
     edge-set equality with the gold.
@@ -106,19 +108,11 @@ def score_plan(
         raise InvalidGoldError(
             "gold plan is cyclic: " + " -> ".join(gold_cycle)
         )
-    try:
-        candidate = parse_plan(candidate_text, self_loops=self_loops)
-    except PlanSyntaxError as exc:
-        return RewardBreakdown(RewardBranch.SYNTAX, SYNTAX_PENALTY, detail=exc.reason)
-    cycle = detect_cycle(candidate)
-    if cycle is not None:
-        return RewardBreakdown(
-            RewardBranch.CYCLE, CYCLE_PENALTY, detail=" -> ".join(cycle)
-        )
-    connected, isolated = check_connectivity(candidate)
-    if not connected:
-        detail = "isolated nodes: " + ", ".join(isolated) if isolated else "multiple components"
-        return RewardBreakdown(RewardBranch.CONNECTIVITY, CONNECTIVITY_PENALTY, detail=detail)
+    report = validate_text(candidate_text, self_loops=self_loops)
+    if not report.fully_valid:
+        branch = RewardBranch(report.failed_check)
+        return RewardBreakdown(branch, _PENALTIES[branch], detail=report.detail)
+    candidate = report.graph
     f1 = edge_f1(candidate.edge_tool_pairs, gold.edge_tool_pairs)
     perfect = (
         candidate.tool_set == gold.tool_set
@@ -142,17 +136,14 @@ def group_advantages(rewards: Sequence[float], epsilon: float = 1e-8) -> GroupAd
     """Per-group z-score: ``(r - mean) / (std + epsilon)``, order-preserving.
 
     ``std`` is the population standard deviation.  A constant group maps to
-    all-zero advantages regardless of epsilon.
+    all-zero advantages regardless of epsilon: equal rewards are detected
+    directly, because their rounded mean need not equal them.
     """
-    arr = np.asarray(list(rewards), dtype=float)
-    if arr.size == 0:
+    values = tuple(float(r) for r in rewards)
+    if not values:
         raise ValueError("rewards must be non-empty")
-    std = float(arr.std())
-    if std == 0.0:
-        adv = np.zeros_like(arr)
-    else:
-        adv = (arr - arr.mean()) / (std + epsilon)
-    return GroupAdvantages(
-        rewards=tuple(float(r) for r in arr),
-        advantages=tuple(float(a) for a in adv),
-    )
+    mean = math.fsum(values) / len(values)
+    std = math.sqrt(math.fsum((r - mean) ** 2 for r in values) / len(values))
+    if std == 0.0 or min(values) == max(values):
+        return GroupAdvantages(values, (0.0,) * len(values))
+    return GroupAdvantages(values, tuple((r - mean) / (std + epsilon) for r in values))

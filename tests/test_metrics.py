@@ -16,6 +16,7 @@ from dagplan import (
     score_pair,
     serialize_plan,
 )
+from dagplan.metrics import evaluate_groups
 from helpers import make_plan, random_any_plan, random_gold
 
 
@@ -209,6 +210,27 @@ def test_macro_mean_of_concatenation_is_weighted_mean():
     for field in ("node_p", "node_f1", "edge_f1", "exact_match"):
         weighted = (7 * getattr(summary_a, field) + 13 * getattr(summary_b, field)) / 20
         assert getattr(combined, field) == pytest.approx(weighted, abs=1e-12)
+
+
+def test_evaluate_groups_stratifies_and_counts_missing_as_failures():
+    from dagplan import parse_plan
+
+    rng = random.Random(4)
+    items = []
+    for i in range(40):
+        gold = random_gold(rng, 6)
+        text = None if i % 5 == 0 else serialize_plan(gold if i % 3 else random_any_plan(rng, 6))
+        items.append((("Hard", "Easy", "Medium")[i % 3], text, gold))
+    groups, overall = evaluate_groups(items)
+    assert list(groups) == ["Hard", "Easy", "Medium"]
+    cases = [(groups[g], [it for it in items if it[0] == g]) for g in groups] + [(overall, items)]
+    for summary, selected in cases:
+        rows = [oracle_metrics(parse_plan(t), g) for _, t, g in selected if t is not None]
+        assert summary.count == len(selected)
+        assert summary.failures == sum(t is None for _, t, _ in selected)
+        for key in ("node_p", "node_r", "node_f1", "edge_p", "edge_r", "edge_f1", "exact_match"):
+            expected = sum(row[key] for row in rows) / len(selected)
+            assert getattr(summary, key) == pytest.approx(expected, abs=1e-12)
 
 
 def test_empty_evaluation_set():

@@ -8,6 +8,7 @@ order against a per-edge position check.
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -127,6 +128,14 @@ def test_parse_self_loop_kept_in_cycle_mode():
     text = plan_text([("a", "t1")], [("a", "a")])
     g = parse_plan(text, self_loops="cycle")
     assert detect_cycle(g) == ["a", "a"]
+
+
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_parse_rejects_non_finite_numbers(number):
+    # json accepts these, but the canonical serialization could not write them back.
+    text = '{"nodes":[{"id":"a","tool":"t1","args":{"x":%s}}],"edges":[]}' % number
+    with pytest.raises(PlanSyntaxError, match="not finite"):
+        parse_plan(text)
 
 
 def test_parse_duplicate_edges_collapse():
@@ -343,3 +352,12 @@ def test_to_dot_mentions_nodes_edges_and_waves():
 def test_parse_plan_rejects_bad_self_loops_flag():
     with pytest.raises(ValueError):
         parse_plan("{}", self_loops="explode")
+
+
+def test_to_dot_escapes_quotes_and_backslashes():
+    g = make_plan([('a"b', "t\\1"), ("c", "t2")], [('a"b', "c")])
+    dot = to_dot(g, waves={'a"b': 0, "c": 1})
+    assert '"a\\"b" -> "c";' in dot
+    quoted = r'"(?:[^"\\]|\\.)*"'
+    for line in dot.splitlines()[2:-1]:
+        assert re.fullmatch(rf"  {quoted}(?: \[label={quoted}\]| -> {quoted});", line), line

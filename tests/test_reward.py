@@ -7,6 +7,7 @@ intersection counts, independent of the library's implementation.
 from __future__ import annotations
 
 import random
+import statistics
 
 import pytest
 
@@ -197,12 +198,36 @@ def test_adding_one_correct_edge_never_decreases_value():
     assert checked > 30
 
 
+def test_deeply_nested_text_scores_syntax_penalty():
+    breakdown = score_plan("[" * 100_000, GOLD)
+    assert breakdown.branch is RewardBranch.SYNTAX
+    assert breakdown.value == SYNTAX_PENALTY
+
+
 # --- group advantages -------------------------------------------------------------
 
 
 def test_constant_group_maps_to_zero():
     result = group_advantages([10.0, 10.0, 10.0])
     assert result.advantages == (0.0, 0.0, 0.0)
+
+
+def test_constant_group_of_inexact_rewards_maps_to_zero():
+    # 10/3 (edge F1 of 2/3) has a rounded mean that differs from the rewards.
+    result = group_advantages([5 * (2 / 3)] * 3)
+    assert result.advantages == (0.0, 0.0, 0.0)
+
+
+def test_advantages_match_statistics_oracle():
+    rng = random.Random(8)
+    for _ in range(100):
+        pool = [-10.0, -2.0, 5 * (2 / 3), 5.0, 10.0, rng.uniform(-10, 10)]
+        rewards = [rng.choice(pool) for _ in range(rng.randint(2, 16))]
+        if len(set(rewards)) < 2:
+            continue
+        mean, std = statistics.fmean(rewards), statistics.pstdev(rewards)
+        expected = [(r - mean) / (std + 1e-8) for r in rewards]
+        assert group_advantages(rewards).advantages == pytest.approx(expected, abs=1e-12)
 
 
 def test_two_point_group_with_zero_epsilon():
