@@ -477,6 +477,19 @@ def _add_library_options(p: argparse.ArgumentParser) -> None:
                    help="size of the synthetic library when no catalog is given")
 
 
+def _int_at_least(low: int):
+    """argparse type: an int no smaller than ``low``; anything else is a usage error."""
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return convert
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dagplan", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"dagplan {__version__}")
@@ -511,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--difficulty-config", help="JSON difficulty-band config file")
     p.add_argument("--mode", choices=("strict", "lenient"), default="strict")
     p.add_argument("--threshold", type=float, default=0.8)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--resume", action="store_true",
                    help="append records whose ids are not already in --out")
     _add_library_options(p)
@@ -521,14 +534,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curate", help="rollout-variance filter + train/test split")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--rollouts", type=int, default=5)
+    p.add_argument("--rollouts", type=_int_at_least(2), default=5)
     p.add_argument("--low", type=float, default=0.0)
     p.add_argument("--high", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--split-seed", type=int, default=None)
     p.add_argument("--train-out")
     p.add_argument("--test-out")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     _add_client_options(p)
     p.set_defaults(func=cmd_curate)
 

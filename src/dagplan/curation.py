@@ -38,17 +38,50 @@ class RolloutProfile:
         return self.solves / self.rollouts
 
 
-def _complete_with_retries(
-    planner: CompletionClient, prompt: str, seed: int, retries: int
-) -> str:
-    last: ClientError | None = None
-    for _ in range(retries):
-        try:
-            return planner.complete(prompt, seed=seed)
-        except ClientError as exc:
-            last = exc
-    assert last is not None
-    raise last
+def _profile(
+    records: Sequence[DatasetRecord],
+    planner: CompletionClient,
+    n: int,
+    bounds: tuple[float, float],
+    retries: int,
+    workers: int,
+) -> list[RolloutProfile | ClientError]:
+    """``profile_task`` for each record, in input order, on one pool of ``workers`` threads.
+
+    A record with a rollout that failed all ``retries`` attempts gets that
+    ClientError instead of a profile.
+    """
+    if n < 2:
+        raise ValueError("rollout count must be >= 2")
+    low, high = bounds
+    prompts = [replan_prompt(r.query, r.candidate_tools) for r in records]
+
+    def rollout(job: int) -> bool | ClientError:
+        k, seed = divmod(job, n)
+        error = None
+        for _ in range(retries):
+            try:
+                text = planner.complete(prompts[k], seed=seed)
+            except ClientError as exc:
+                error = exc
+                continue
+            return score_plan(text, records[k].gold_plan).value == REWARD_MAX
+        assert error is not None
+        return error
+
+    # Submit 64 rollouts per worker at a time, so queued futures stay bounded.
+    total, step = len(records) * n, 64 * workers
+    outcomes: list[bool | ClientError] = []
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for start in range(0, total, step):
+            outcomes += pool.map(rollout, range(start, min(start + step, total)))
+    profiles: list[RolloutProfile | ClientError] = []
+    for k, record in enumerate(records):
+        group = outcomes[k * n:(k + 1) * n]
+        failure = next((o for o in group if isinstance(o, ClientError)), None)
+        solves = sum(o is True for o in group)
+        profiles.append(failure or RolloutProfile(record.record_id, n, solves, kept=low < solves / n < high))
+    return profiles
 
 
 def profile_task(
@@ -66,19 +99,10 @@ def profile_task(
     is order-independent.  ClientError propagates after ``retries`` attempts
     per rollout; the caller decides what an unprofiled task means.
     """
-    if n < 2:
-        raise ValueError("rollout count must be >= 2")
-    low, high = bounds
-    prompt = replan_prompt(record.query, record.candidate_tools)
-
-    def rollout(i: int) -> bool:
-        text = _complete_with_retries(planner, prompt, i, retries)
-        return score_plan(text, record.gold_plan).value == REWARD_MAX
-
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        solves = sum(pool.map(rollout, range(n)))
-    rate = solves / n
-    return RolloutProfile(record.record_id, n, solves, kept=low < rate < high)
+    (profile,) = _profile([record], planner, n, bounds, retries, n)
+    if isinstance(profile, ClientError):
+        raise profile
+    return profile
 
 
 @dataclass
@@ -120,27 +144,16 @@ def curate(
     """Order-preserving filter of ``records`` down to the frontier tasks.
 
     Tasks whose planner calls keep failing are excluded as unprofiled rather
-    than retried forever.  Aggregation is order-independent, so profiling may
-    fan out over ``jobs`` workers.
+    than retried forever.  All rollouts share one pool of ``jobs * n`` threads
+    and results keep input order, so ``jobs`` does not change the outcome.
     """
     low, high = bounds
     stats = CurationStats(input_count=len(records), bounds=bounds, rollouts=n)
-
-    def run(record: DatasetRecord) -> RolloutProfile | None:
-        try:
-            return profile_task(record, planner, n, bounds=bounds, retries=retries)
-        except ClientError:
-            return None
-
-    if jobs > 1 and records:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            profiles = list(pool.map(run, records))
-    else:
-        profiles = [run(record) for record in records]
+    profiles = _profile(records, planner, n, bounds, retries, max(jobs, 1) * n)
 
     kept_records: list[DatasetRecord] = []
     for record, profile in zip(records, profiles):
-        if profile is None:
+        if isinstance(profile, ClientError):
             stats.unprofiled += 1
             continue
         stats.profiles.append(profile)

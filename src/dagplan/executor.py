@@ -191,7 +191,8 @@ def _resolve_value(value: Any, outputs: Mapping[str, Any]) -> Any:
         for part in path.split(".") if path else []:
             if isinstance(current, Mapping) and part in current:
                 current = current[part]
-            elif isinstance(current, list) and part.lstrip("-").isdigit():
+            elif (isinstance(current, list) and part.lstrip("-").isdigit()
+                  and -len(current) <= int(part) < len(current)):
                 current = current[int(part)]
             else:
                 raise ToolError(f"reference {value!r}: no field {part!r} in upstream output")
@@ -328,8 +329,10 @@ def execute(
     """Run the plan in parallel waves over the registry.
 
     ``max_workers`` caps intra-wave concurrency (1 reproduces a sequential
-    replay).  Per-node tool failures are recorded, never raised; structural
-    problems raise PreflightError before anything runs.
+    replay).  Per-node failures are recorded, never raised: a ToolError, a
+    reference into upstream output that does not exist, or any other exception
+    the registry raises (its ``error`` then names the exception type).
+    Structural problems raise PreflightError before anything runs.
     """
     if policy not in ("fail_fast", "continue"):
         raise ValueError(f"policy must be 'fail_fast' or 'continue', got {policy!r}")
@@ -353,8 +356,9 @@ def execute(
             output = registry.invoke(node.tool, args)
             return NodeResult(nid, node.tool, wave_of[nid], "ok", output,
                               started=start, finished=time.perf_counter())
-        except ToolError as exc:
-            return NodeResult(nid, node.tool, wave_of[nid], "failed", error=str(exc),
+        except Exception as exc:  # an untrusted registry's failure is this node's failure
+            error = str(exc) if isinstance(exc, ToolError) else f"{type(exc).__name__}: {exc}"
+            return NodeResult(nid, node.tool, wave_of[nid], "failed", error=error,
                               started=start, finished=time.perf_counter())
 
     with ThreadPoolExecutor(max_workers=pool_size) as pool:

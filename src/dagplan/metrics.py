@@ -25,8 +25,8 @@ METRIC_FIELDS = (
 
 def set_prf(predicted: Iterable, gold: Iterable) -> tuple[float, float, float]:
     """Set-based precision/recall/F1 with the shared empty-set conventions."""
-    pred = set(predicted)
-    true = set(gold)
+    pred = frozenset(predicted)
+    true = frozenset(gold)
     if not pred and not true:
         return 1.0, 1.0, 1.0
     if not pred or not true:

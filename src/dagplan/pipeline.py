@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import random
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Collection, Hashable, Iterable, Iterator, Mapping, Sequence
 
@@ -121,6 +121,19 @@ class Provenance:
         }
 
 
+def _gold_problem(plan: PlanGraph, offered: set[str]) -> str | None:
+    """The reason ``plan`` cannot be a gold plan over ``offered`` tools, or None."""
+    if len(plan) == 0:
+        return "gold plan is empty"
+    report = validate_graph(plan)
+    if not report.fully_valid:
+        return f"gold plan fails {report.failed_check}: {report.detail}"
+    missing = plan.tool_set - offered
+    if missing:
+        return f"gold uses unoffered tools {sorted(missing)}"
+    return None
+
+
 @dataclass(frozen=True)
 class DatasetRecord:
     """One benchmark instance: query, offered tools, gold plan, difficulty."""
@@ -136,17 +149,12 @@ class DatasetRecord:
         """Raise ValueError on any violated record invariant."""
         if self.difficulty not in DIFFICULTIES:
             raise ValueError(f"{self.record_id}: unknown difficulty {self.difficulty!r}")
-        if len(self.gold_plan) == 0:
-            raise ValueError(f"{self.record_id}: gold plan is empty")
-        report = validate_graph(self.gold_plan)
-        if not report.fully_valid:
-            raise ValueError(f"{self.record_id}: gold plan fails {report.failed_check}: {report.detail}")
         offered = set(self.candidate_tools)
         if len(offered) != len(self.candidate_tools):
             raise ValueError(f"{self.record_id}: duplicate candidate tools")
-        missing = self.gold_plan.tool_set - offered
-        if missing:
-            raise ValueError(f"{self.record_id}: gold uses unoffered tools {sorted(missing)}")
+        problem = _gold_problem(self.gold_plan, offered)
+        if problem is not None:
+            raise ValueError(f"{self.record_id}: {problem}")
         if config is not None:
             band = config.band(self.difficulty)
             n_cand, n_req = len(self.candidate_tools), len(self.gold_plan)
@@ -280,11 +288,7 @@ def _layered_dag(rng: random.Random, tools: Sequence[str], *, need_branch: bool)
 def _workflow_ok(
     plan: PlanGraph, offered: set[str], band: Band, *, need_branch: bool
 ) -> bool:
-    if not band.required[0] <= len(plan) <= band.required[1]:
-        return False
-    if plan.tool_set - offered:
-        return False
-    if not validate_graph(plan).fully_valid:
+    if not band.required[0] <= len(plan) <= band.required[1] or _gold_problem(plan, offered):
         return False
     if need_branch and len(plan) >= 3:
         return _has_branch_point(plan.edge_pairs)
@@ -414,7 +418,7 @@ def replan_and_filter(
             False, None, replan, pair.edge_f1,
             f"edge F1 {pair.edge_f1:.3f} below threshold {threshold}",
         )
-    if len(replan) == 0 or replan.tool_set - offered or not validate_graph(replan).fully_valid:
+    if _gold_problem(replan, offered) is not None:
         return ReplanOutcome(False, None, replan, pair.edge_f1, "replan not structurally usable")
     return ReplanOutcome(True, replan, replan, pair.edge_f1, "within threshold")
 
@@ -436,23 +440,13 @@ class BuildStats:
     shortfall: dict[str, int] = field(default_factory=dict)
 
     def merge_counts(self, other: "BuildStats") -> None:
-        self.attempts += other.attempts
-        self.author_failures += other.author_failures
-        self.client_errors += other.client_errors
-        self.unparseable_replans += other.unparseable_replans
-        self.rejected_replans += other.rejected_replans
+        """Add ``other``'s counters (its int fields) to this one's."""
+        for name, value in vars(other).items():
+            if isinstance(value, int):
+                setattr(self, name, getattr(self, name) + value)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "requested": dict(self.requested),
-            "generated": dict(self.generated),
-            "attempts": self.attempts,
-            "author_failures": self.author_failures,
-            "client_errors": self.client_errors,
-            "unparseable_replans": self.unparseable_replans,
-            "rejected_replans": self.rejected_replans,
-            "shortfall": dict(self.shortfall),
-        }
+        return asdict(self)
 
 
 def _build_one(

@@ -223,6 +223,26 @@ class ValidationReport:
         }
 
 
+# Deepest container nesting allowed in a node's args, the args object itself
+# counting as level 1.  Serialization, equality and the executor's reference
+# resolution all recurse over args, so deeper values are syntax failures.
+MAX_ARGS_DEPTH = 100
+
+
+def _args_too_deep(args: dict) -> bool:
+    level: list = [args]
+    for _ in range(MAX_ARGS_DEPTH):  # level-order, so no recursion
+        level = [
+            child
+            for value in level
+            for child in (value.values() if isinstance(value, dict) else value)
+            if isinstance(child, (dict, list))
+        ]
+        if not level:
+            return False
+    return True
+
+
 def _finite_number(literal: str) -> float:
     value = float(literal)
     if not math.isfinite(value):
@@ -243,7 +263,8 @@ def parse_plan(text: str, *, self_loops: str = "reject") -> PlanGraph:
     Raises PlanSyntaxError for anything that cannot be read as a plan:
     non-JSON text (including ``NaN``/``Infinity``, numbers that overflow to
     them, and nesting too deep to decode), a non-object document,
-    missing/ill-typed fields, or a graph that breaks a PlanGraph invariant
+    missing/ill-typed fields, args nested deeper than ``MAX_ARGS_DEPTH``
+    levels, or a graph that breaks a PlanGraph invariant
     (duplicate node ids, two nodes sharing a tool, edge endpoints that name no
     node).  Repeated (from, to) pairs collapse to one edge.
     """
@@ -279,6 +300,8 @@ def parse_plan(text: str, *, self_loops: str = "reject") -> PlanGraph:
             raise PlanSyntaxError(f"node {nid!r} has no usable tool")
         if not isinstance(args, dict):
             raise PlanSyntaxError(f"node {nid!r} args is not an object")
+        if args and _args_too_deep(args):
+            raise PlanSyntaxError(f"node {nid!r} args nest deeper than {MAX_ARGS_DEPTH} levels")
         nodes.append(PlanNode(nid, tool, args))
 
     pairs: dict[tuple[str, str], None] = {}

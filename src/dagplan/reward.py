@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
-from .metrics import set_prf
+from .metrics import score_pair, set_prf
 # check_connectivity and parse_plan stay bound for perfbench's traced runs.
 from .plan import PlanGraph, check_connectivity, detect_cycle, parse_plan, validate_text  # noqa: F401
 
@@ -96,9 +96,9 @@ def score_plan(
     Checks run in strict precedence — syntax, then cycle, then connectivity —
     and the first failing level's penalty is returned; the verdict and its
     witness are those of ``validate_text``.  Candidates passing all
-    three score ``5*edge_f1 + 5*perfect_match`` where edges compare as
-    (source tool, target tool) pairs and perfect match means node-set and
-    edge-set equality with the gold.
+    three score ``5*edge_f1 + 5*exact_match`` from ``metrics.score_pair``:
+    edges compare as (source tool, target tool) pairs and exact match means
+    tool-set and edge-set equality with the gold.
 
     Raises InvalidGoldError when the gold plan itself is cyclic; gold
     connectivity is a dataset-build-time obligation and is not checked here.
@@ -112,15 +112,10 @@ def score_plan(
     if not report.fully_valid:
         branch = RewardBranch(report.failed_check)
         return RewardBreakdown(branch, _PENALTIES[branch], detail=report.detail)
-    candidate = report.graph
-    f1 = edge_f1(candidate.edge_tool_pairs, gold.edge_tool_pairs)
-    perfect = (
-        candidate.tool_set == gold.tool_set
-        and candidate.edge_tool_pairs == gold.edge_tool_pairs
-    )
-    value = EDGE_F1_SCALE * f1 + (PERFECT_MATCH_BONUS if perfect else 0.0)
+    pair = score_pair(report.graph, gold)
+    value = EDGE_F1_SCALE * pair.edge_f1 + PERFECT_MATCH_BONUS * pair.exact_match
     return RewardBreakdown(
-        RewardBranch.FIDELITY, value, edge_f1=f1, perfect_match=perfect
+        RewardBranch.FIDELITY, value, edge_f1=pair.edge_f1, perfect_match=bool(pair.exact_match)
     )
 
 

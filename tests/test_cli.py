@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from dagplan import (
     build_dataset,
     fixture_key,
@@ -402,3 +404,24 @@ def test_report_renders_each_summary_kind(tmp_path, capsys):
     gen_doc = {"requested": {"Easy": 4}, "generated": {"Easy": 4}}
     assert main(["report", write(tmp_path, "gen.json", json.dumps(gen_doc))]) == 0
     assert "Easy" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["curate", "--rollouts", "1"],
+    ["curate", "--jobs", "0"],
+    ["gen", "--jobs", "0"],
+    ["gen", "--jobs", "many"],
+], ids=["curate-rollouts-1", "curate-jobs-0", "gen-jobs-0", "gen-jobs-many"])
+def test_out_of_range_counts_are_usage_errors(tmp_path, argv):
+    records, _ = build_dataset(LIB, {"Easy": 2}, seed=6)
+    dataset = tmp_path / "data.jsonl"
+    save_records(records, dataset)
+    cassette = curation_fixture(tmp_path, records, [[1, 0], [0, 1]])
+    if argv[0] == "curate":
+        argv = argv + ["--dataset", str(dataset), "--fixture", cassette]
+    else:
+        argv = argv + ["--offline"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "out.jsonl")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out.jsonl").exists()

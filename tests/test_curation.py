@@ -206,3 +206,67 @@ def test_split_floor_rule(n, expected_test):
 def test_split_rejects_bad_fraction():
     with pytest.raises(ValueError):
         split_train_test(RECORDS, seed=0, test_fraction=1.5)
+
+
+# --- one rollout pool per call ---------------------------------------------------
+
+
+FRONTIER_PATTERNS = [[1, 0, 0, 0, 0], [0, 0, 0, 0, 0], [1, 1, 1, 1, 1], [0, 1, 0, 1, 1]]
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 4])
+def test_each_call_builds_exactly_one_pool(monkeypatch, jobs):
+    from dagplan import curation
+
+    sizes = []
+
+    class CountingPool(curation.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            super().__init__(max_workers, *args, **kwargs)
+            sizes.append(max_workers)
+
+    monkeypatch.setattr(curation, "ThreadPoolExecutor", CountingPool)
+    records = RECORDS[:4]
+    planner = FixtureClient(solve_cassette(records, FRONTIER_PATTERNS))
+    curate(records, planner, 5, jobs=jobs)
+    assert sizes == [jobs * 5]
+    sizes.clear()
+    profile_task(records[0], planner, 5)
+    assert sizes == [5]
+
+
+def test_client_errors_unprofile_only_their_own_record():
+    records = RECORDS[:4]
+    healthy = FixtureClient(solve_cassette(records, FRONTIER_PATTERNS))
+    down = replan_prompt(records[0].query, records[0].candidate_tools)  # a frontier task
+
+    class OneRecordDown(CompletionClient):
+        model_name = "one-record-down"
+
+        def complete(self, prompt, *, seed=None):
+            if prompt == down:
+                raise ClientError("down")
+            return healthy.complete(prompt, seed=seed)
+
+    _, expected = curate(records, healthy, 5, jobs=2)
+    kept, stats = curate(records, OneRecordDown(), 5, jobs=2)
+    assert stats.unprofiled == 1
+    assert stats.profiles == expected.profiles[1:]
+    assert [r.record_id for r in kept] == [records[3].record_id]
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 4])
+def test_profile_task_matches_the_profiles_curate_produces(jobs):
+    records = RECORDS[:4]
+    planner = FixtureClient(solve_cassette(records, FRONTIER_PATTERNS))
+    _, stats = curate(records, planner, 5, jobs=jobs)
+    assert stats.profiles == [profile_task(r, planner, 5) for r in records]
+
+
+def test_rollouts_spanning_several_submission_slices_keep_their_records():
+    records, _ = build_dataset(LIB, {"Easy": 150}, seed=21)
+    patterns = [[(k + i) % 3 == 0 for i in range(2)] for k in range(len(records))]
+    planner = FixtureClient(solve_cassette(records, patterns, n=2))
+    _, stats = curate(records, planner, 2, jobs=1)  # 300 rollouts, submitted 128 at a time
+    assert stats.profiles == [profile_task(r, planner, 2) for r in records]
+    assert stats.histogram == {"0/2": 50, "1/2": 100}

@@ -436,3 +436,30 @@ def test_leaf_outputs_helper():
     trace = execute(DIAMOND, MockRegistry())
     leaves = leaf_outputs(DIAMOND, trace)
     assert set(leaves) == {"d"}
+
+
+def test_out_of_range_list_reference_is_a_node_failure():
+    plan = make_plan(
+        [("a", "t1", {"l": [1, 2]}), ("b", "t2", {"last": "$a.args.l.-1"}),
+         ("c", "t3", {"bad": "$a.args.l.5"})],
+        [("a", "b"), ("a", "c")],
+    )
+    trace = execute(plan, MockRegistry(), "continue")
+    assert trace.statuses() == {"a": "ok", "b": "ok", "c": "failed"}
+    assert trace.nodes["b"].output["args"]["last"] == 2
+    assert "no field '5'" in trace.nodes["c"].error
+
+
+def test_registry_exceptions_other_than_tool_error_fail_the_node():
+    class BrokenRegistry(ToolRegistry):
+        def resolves(self, tool_id):
+            return True
+
+        def invoke(self, tool_id, args):
+            if tool_id == "t2":
+                raise KeyError("lost")
+            return {}
+
+    trace = execute(DIAMOND, BrokenRegistry(), "continue")
+    assert trace.statuses() == {"a": "ok", "b": "failed", "c": "ok", "d": "skipped"}
+    assert trace.nodes["b"].error == "KeyError: 'lost'"

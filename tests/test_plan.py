@@ -361,3 +361,25 @@ def test_to_dot_escapes_quotes_and_backslashes():
     quoted = r'"(?:[^"\\]|\\.)*"'
     for line in dot.splitlines()[2:-1]:
         assert re.fullmatch(rf"  {quoted}(?: \[label={quoted}\]| -> {quoted});", line), line
+
+
+def _nested_args_text(levels, container):
+    """A one-node plan whose args nest ``levels`` containers deep, args included."""
+    value = 0
+    for _ in range(levels - 1):
+        value = [value] if container == "list" else {"x": value}
+    return plan_text([("a", "t1", {"x": value})], [])
+
+
+@pytest.mark.parametrize("container", ["list", "dict"])
+def test_args_nested_past_the_limit_are_a_syntax_failure(container):
+    from dagplan.plan import MAX_ARGS_DEPTH
+
+    at_limit = parse_plan(_nested_args_text(MAX_ARGS_DEPTH, container))
+    assert parse_plan(serialize_plan(at_limit)) == at_limit
+    # 600 levels decode as JSON, but serializing them would exhaust the stack.
+    for levels in (MAX_ARGS_DEPTH + 1, 600):
+        text = _nested_args_text(levels, container)
+        with pytest.raises(PlanSyntaxError, match="nest deeper"):
+            parse_plan(text)
+        assert validate_text(text).failed_check == "syntax"
