@@ -24,7 +24,7 @@ import sys
 from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterator
 
 from . import __version__
 from .catalog import ToolLibrary, load_library, synth_library
@@ -49,7 +49,8 @@ from .pipeline import (
     load_records,
     save_records,
 )
-from .plan import PlanSyntaxError, parse_plan, to_dot, validate_text
+from .plan import (FormatError, PlanSyntaxError, decode_json, parse_plan, plan_from_doc,
+                   read_json, to_dot, validate_text)
 from .reward import score_plan
 
 
@@ -163,59 +164,50 @@ def cmd_validate(args: argparse.Namespace) -> int:
 # --- score ---------------------------------------------------------------
 
 
-def _iter_candidate_texts(path: str) -> Iterable[tuple[str | None, str]]:
-    """Yield (id, candidate text) per line.
+def _iter_plan_lines(path: str) -> Iterator[tuple[str | None, Any, str | None]]:
+    """Yield (id, plan, text) per non-blank line of a JSONL plan file, decoded once.
 
-    A line that is a JSON object with a "candidate" key supplies the text
-    (objects are re-serialized); a dataset record supplies its gold plan (so
-    a dataset file scores against itself); any other line is itself the
-    candidate text.
+    An object's "candidate", or a dataset record's "gold_plan", is the plan,
+    with the object's "id" and no text.  Any other line is its own text, with no
+    id and as plan its document, or the FormatError saying it is not JSON.
     """
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             line = line.rstrip("\n")
             if not line.strip():
                 continue
             try:
-                doc = json.loads(line)
-            except json.JSONDecodeError:
-                yield None, line
-                continue
+                doc = decode_json(line)
+            except FormatError as exc:
+                doc = FormatError(f"{path} line {number}: {exc}")
             if isinstance(doc, dict) and "candidate" in doc:
-                candidate = doc["candidate"]
-                text = candidate if isinstance(candidate, str) else json.dumps(candidate)
-                yield doc.get("id"), text
+                yield doc.get("id"), doc["candidate"], None
             elif isinstance(doc, dict) and "gold_plan" in doc:
-                yield doc.get("id"), json.dumps(doc["gold_plan"])
+                yield doc.get("id"), doc["gold_plan"], None
             else:
-                yield None, line
+                yield None, doc, line
 
 
-def _iter_gold_plans(path: str) -> Iterable[tuple[str | None, str]]:
-    """Yield (id, gold plan json) from a golds file or a dataset file."""
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            doc = json.loads(line)
-            if isinstance(doc, dict) and "gold_plan" in doc:
-                yield doc.get("id"), json.dumps(doc["gold_plan"])
-            else:
-                yield None, line
+def _candidate_texts(path: str) -> Iterator[tuple[str | None, str]]:
+    """(id, text) per line: the line, a candidate string, or an encoded plan."""
+    for cand_id, plan, text in _iter_plan_lines(path):
+        if text is None:
+            text = plan if isinstance(plan, str) else json.dumps(plan)
+        yield cand_id, text
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    candidates = list(_iter_candidate_texts(args.candidates))
-    golds = list(_iter_gold_plans(args.golds))
+    candidates = list(_candidate_texts(args.candidates))
+    golds = list(_iter_plan_lines(args.golds))
     if len(candidates) != len(golds):
         _err(f"{len(candidates)} candidates vs {len(golds)} golds; counts must match")
         return 2
     rows = []
     histogram: Counter[str] = Counter()
-    for (cand_id, text), (gold_id, gold_json) in zip(candidates, golds):
-        gold = parse_plan(gold_json)
-        breakdown = score_plan(text, gold, self_loops=args.self_loop)
+    for (cand_id, text), (gold_id, plan, _) in zip(candidates, golds):
+        if isinstance(plan, FormatError):
+            raise plan
+        breakdown = score_plan(text, plan_from_doc(plan), self_loops=args.self_loop)
         histogram[breakdown.branch.value] += 1
         row = {"id": cand_id or gold_id, **breakdown.to_dict()}
         rows.append(row)
@@ -254,7 +246,7 @@ def _print_metrics_table(doc: dict[str, Any]) -> None:
 def cmd_eval(args: argparse.Namespace) -> int:
     dataset = load_records(args.dataset)
     predictions: dict[str, str] = {}
-    for pred_id, text in _iter_candidate_texts(args.predictions):
+    for pred_id, text in _candidate_texts(args.predictions):
         if pred_id is None:
             _err("eval predictions must be JSONL objects with an 'id' field")
             return 2
@@ -433,28 +425,48 @@ def cmd_run(args: argparse.Namespace) -> int:
 # --- report ---------------------------------------------------------------
 
 
+def _numbers(value: Any, field: str) -> dict[str, Any]:
+    """``value`` if it is an object of numbers; FormatError naming ``field`` otherwise."""
+    if not isinstance(value, dict) or not all(isinstance(v, (int, float)) for v in value.values()):
+        raise FormatError(f'field "{field}" is not an object of numbers')
+    return value
+
+
 def cmd_report(args: argparse.Namespace) -> int:
-    doc = json.loads(_read_text(args.summary))
-    if "groups" in doc:
+    doc = read_json(args.summary)
+    fields = doc if isinstance(doc, dict) else {}
+    if "groups" in fields:
+        if not isinstance(doc["groups"], dict):
+            raise FormatError('field "groups" is not an object')
+        for name, group in doc["groups"].items():
+            _numbers(group, f"groups.{name}")
+        _numbers(doc.get("overall", {}), "overall")
         _print_metrics_table(doc)
-    elif "branches" in doc:
+    elif "branches" in fields:
+        branches = _numbers(doc["branches"], "branches")
+        mean_value = doc.get("mean_value", 0.0)
+        if not isinstance(mean_value, (int, float)):
+            raise FormatError('field "mean_value" is not a number')
         print(f"{'branch':<14}{'count':>7}")
-        for branch, count in doc["branches"].items():
+        for branch, count in branches.items():
             print(f"{branch:<14}{count:>7}")
-        print(f"{'mean_value':<14}{doc.get('mean_value', 0.0):>7.3f}")
-    elif "histogram" in doc:
+        print(f"{'mean_value':<14}{mean_value:>7.3f}")
+    elif "histogram" in fields:
+        histogram = _numbers(doc["histogram"], "histogram")
         print(f"kept {doc.get('kept')} / {doc.get('input_count')} "
               f"(easy {doc.get('excluded_easy')}, hard {doc.get('excluded_hard')}, "
               f"unprofiled {doc.get('unprofiled')})")
         print(f"{'solve rate':<12}{'tasks':>7}")
-        for rate, count in doc["histogram"].items():
+        for rate, count in histogram.items():
             print(f"{rate:<12}{count:>7}")
-    elif "generated" in doc:
+    elif "generated" in fields:
+        requested = _numbers(doc.get("requested", {}), "requested")
+        generated = _numbers(doc["generated"], "generated")
         print(f"{'difficulty':<12}{'requested':>10}{'generated':>10}")
         for difficulty in DIFFICULTIES:
-            if difficulty in doc.get("requested", {}):
-                print(f"{difficulty:<12}{doc['requested'][difficulty]:>10}"
-                      f"{doc.get('generated', {}).get(difficulty, 0):>10}")
+            if difficulty in requested:
+                print(f"{difficulty:<12}{requested[difficulty]:>10}"
+                      f"{generated.get(difficulty, 0):>10}")
     else:
         print(json.dumps(doc, indent=2, sort_keys=True))
     return 0
@@ -586,7 +598,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, FormatError) as exc:
         _err(str(exc))
         return 2
     except (ValueError, ClientError) as exc:

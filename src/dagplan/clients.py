@@ -19,6 +19,8 @@ import urllib.request
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .plan import FormatError, read_json
+
 
 class ClientError(RuntimeError):
     """A completion request failed permanently (after any retries)."""
@@ -146,14 +148,21 @@ class FixtureClient(CompletionClient):
     """Replays recorded responses keyed by ``fixture_key(prompt, seed)``.
 
     Accepts a mapping or a cassette file path (JSON: either a flat key->text
-    object or ``{"entries": {...}}``).  A missing key is a hard ClientError —
+    object or ``{"entries": {...}}``); a file of any other shape is a
+    FormatError.  A missing key is a hard ClientError —
     replay runs must never silently fall through to anything live.
     """
 
     def __init__(self, entries: Mapping[str, str] | str | Path, model_name: str = "fixture"):
         if isinstance(entries, (str, Path)):
-            doc = json.loads(Path(entries).read_text(encoding="utf-8"))
-            entries = doc.get("entries", doc)
+            path = entries
+            doc = read_json(path)
+            entries = doc.get("entries", doc) if isinstance(doc, dict) else doc
+            if not isinstance(entries, dict):
+                raise FormatError(f"{path}: a cassette is an object of response strings")
+            for key, text in entries.items():
+                if not isinstance(text, str):
+                    raise FormatError(f"{path}: entry {key[:12]!r} is not a string")
         self.entries = dict(entries)
         self.model_name = model_name
 

@@ -35,8 +35,8 @@ from .catalog import ToolSpec
 from .clients import CompletionClient, http_request
 # check_connectivity, detect_cycle and parse_plan stay bound for perfbench's traced runs.
 from .plan import (  # noqa: F401
-    CycleError, PlanGraph, check_connectivity, detect_cycle, parse_plan, to_dot, topo_order,
-    validate_text,
+    CycleError, FormatError, PlanGraph, check_connectivity, detect_cycle, parse_plan, read_json,
+    to_dot, topo_order, validate_text,
 )
 from .prompts import replan_prompt, synthesis_prompt
 from .reward import RewardBranch
@@ -134,7 +134,15 @@ class HttpRegistry(ToolRegistry):
 
     @classmethod
     def from_file(cls, path: str | Path) -> "HttpRegistry":
-        return cls(json.loads(Path(path).read_text(encoding="utf-8")))
+        """Load bindings from JSON; FormatError unless it is an object of
+        objects, each with a string ``url``."""
+        doc = read_json(path)
+        if not isinstance(doc, dict):
+            raise FormatError(f"{path}: bindings are an object of tool id -> binding")
+        for tool_id, binding in doc.items():
+            if not isinstance(binding, dict) or not isinstance(binding.get("url"), str):
+                raise FormatError(f'{path}: binding {tool_id!r} has no string "url"')
+        return cls(doc)
 
     def resolves(self, tool_id: str) -> bool:
         return tool_id in self._bindings

@@ -26,11 +26,15 @@ from .catalog import ToolLibrary, ToolSpec
 from .clients import ClientError, CompletionClient, EmptyResponseError
 from .metrics import score_pair
 from .plan import (
+    FormatError,
     PlanGraph,
     PlanNode,
     PlanEdge,
     PlanSyntaxError,
+    decode_json,
     parse_plan,
+    plan_doc,
+    plan_from_doc,
     serialize_plan,
     topo_order,
     validate_graph,
@@ -168,26 +172,57 @@ class DatasetRecord:
             "id": self.record_id,
             "query": self.query,
             "candidate_tools": list(self.candidate_tools),
-            "gold_plan": json.loads(serialize_plan(self.gold_plan)),
+            "gold_plan": plan_doc(self.gold_plan),
             "difficulty": self.difficulty,
             "provenance": self.provenance.to_dict(),
         }
 
     @classmethod
-    def from_dict(cls, doc: Mapping[str, Any]) -> "DatasetRecord":
-        prov = doc.get("provenance", {})
-        return cls(
-            record_id=str(doc["id"]),
-            query=str(doc["query"]),
-            candidate_tools=tuple(doc["candidate_tools"]),
-            gold_plan=parse_plan(json.dumps(doc["gold_plan"])),
-            difficulty=str(doc["difficulty"]),
-            provenance=Provenance(
-                generator=str(prov.get("generator", "unknown")),
-                teacher_model=prov.get("teacher_model"),
-                replan_agreed=bool(prov.get("replan_agreed", False)),
-            ),
+    def from_dict(cls, doc: Any) -> "DatasetRecord":
+        """Build a record from its decoded JSON document.
+
+        Raises FormatError naming the first field that breaks the schema in
+        the README's "File formats".  The record shares nothing mutable with
+        ``doc``.
+        """
+        if not isinstance(doc, dict):
+            raise FormatError("record is not an object")
+        record_id = _field(doc, "id", str)
+        query = _field(doc, "query", str)
+        tools = _field(doc, "candidate_tools", list)
+        if not all(isinstance(t, str) for t in tools):
+            raise FormatError('field "candidate_tools" is not an array of strings')
+        try:
+            gold = plan_from_doc(_field(doc, "gold_plan", object))
+        except PlanSyntaxError as exc:
+            raise FormatError(f'field "gold_plan": {exc.reason}') from None
+        difficulty = _field(doc, "difficulty", str)
+        prov = _field(doc, "provenance", dict, {})
+        provenance = Provenance(
+            generator=_field(prov, "generator", str, "unknown", "provenance."),
+            teacher_model=_field(prov, "teacher_model", (str, type(None)), None, "provenance."),
+            replan_agreed=_field(prov, "replan_agreed", bool, False, "provenance."),
         )
+        return cls(record_id, query, tuple(tools), gold, difficulty, provenance)
+
+
+_REQUIRED = object()
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+               (str, type(None)): "a string or null"}
+
+
+def _field(doc: Mapping[str, Any], name: str, kind: Any, default: Any = _REQUIRED,
+           parent: str = "") -> Any:
+    """``doc[name]``, or ``default`` when it is absent; FormatError when it is
+    absent and required, or present and not of type ``kind``."""
+    if name not in doc:
+        if default is _REQUIRED:
+            raise FormatError(f'missing field "{parent}{name}"')
+        return default
+    value = doc[name]
+    if not isinstance(value, kind):
+        raise FormatError(f'field "{parent}{name}" is not {_JSON_TYPES[kind]}')
+    return value
 
 
 def save_records(records: Iterable[DatasetRecord], path: str | Path, *, append: bool = False) -> None:
@@ -199,11 +234,17 @@ def save_records(records: Iterable[DatasetRecord], path: str | Path, *, append: 
 
 
 def iter_records(path: str | Path) -> Iterator[DatasetRecord]:
+    """Read a JSONL dataset file; a FormatError names the 1-based line and the field."""
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
+        for number, line in enumerate(handle, 1):
             line = line.strip()
-            if line:
-                yield DatasetRecord.from_dict(json.loads(line))
+            if not line:
+                continue
+            try:
+                record = DatasetRecord.from_dict(decode_json(line))
+            except FormatError as exc:
+                raise FormatError(f"{path} line {number}: {exc}") from None
+            yield record
 
 
 def load_records(path: str | Path) -> list[DatasetRecord]:

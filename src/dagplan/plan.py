@@ -19,7 +19,8 @@ syntax failure.  Canonical serialization sorts nodes by id and edges by
 (from, to), so two graphs that are equal as node/edge sets serialize to
 byte-identical text.
 
-All types are immutable after construction and all functions are pure.
+All types are immutable after construction and all functions but
+``read_json`` are pure.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from pathlib import Path
 from typing import Any, Iterator, Mapping
 
 
@@ -229,18 +231,9 @@ class ValidationReport:
 MAX_ARGS_DEPTH = 100
 
 
-def _args_too_deep(args: dict) -> bool:
-    level: list = [args]
-    for _ in range(MAX_ARGS_DEPTH):  # level-order, so no recursion
-        level = [
-            child
-            for value in level
-            for child in (value.values() if isinstance(value, dict) else value)
-            if isinstance(child, (dict, list))
-        ]
-        if not level:
-            return False
-    return True
+class FormatError(ValueError):
+    """An untrusted JSON file (dataset, cassette, registry bindings, report)
+    is not JSON or breaks its documented schema; the message says where."""
 
 
 def _finite_number(literal: str) -> float:
@@ -255,27 +248,54 @@ def _finite_number(literal: str) -> float:
 _DECODER = json.JSONDecoder(parse_constant=_finite_number, parse_float=_finite_number)
 
 
+def decode_json(text: str, error: type[ValueError] = FormatError) -> Any:
+    """Decode JSON; ``error`` for bad syntax, ``NaN``/``Infinity``, numbers
+    that overflow to them, and nesting too deep to decode."""
+    try:
+        return _DECODER.decode(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"not valid JSON: {exc.msg} at position {exc.pos}") from None
+    except (ValueError, RecursionError) as exc:
+        raise error(f"not valid JSON: {exc}") from None
+
+
+def read_json(path: str | Path) -> Any:
+    """``decode_json`` of a UTF-8 file; a FormatError names the file."""
+    try:
+        return decode_json(Path(path).read_text(encoding="utf-8"))
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
+def _copy_args(value: dict | list, level: int, nid: str) -> dict | list:
+    """A deep copy of a decoded JSON container at nesting ``level`` of node ``nid``'s args."""
+    if level > MAX_ARGS_DEPTH:
+        raise PlanSyntaxError(f"node {nid!r} args nest deeper than {MAX_ARGS_DEPTH} levels")
+    if isinstance(value, dict):
+        return {k: _copy_args(v, level + 1, nid) if isinstance(v, (dict, list)) else v
+                for k, v in value.items()}
+    return [_copy_args(v, level + 1, nid) if isinstance(v, (dict, list)) else v for v in value]
+
+
 def parse_plan(text: str, *, self_loops: str = "reject") -> PlanGraph:
-    """Interpret raw planner output as a PlanGraph.
+    """Interpret raw planner output as a PlanGraph: ``plan_from_doc`` of the
+    text's ``decode_json``, any rejection raised as PlanSyntaxError."""
+    return plan_from_doc(decode_json(text, PlanSyntaxError), self_loops=self_loops)
+
+
+def plan_from_doc(doc: Any, *, self_loops: str = "reject") -> PlanGraph:
+    """Build a PlanGraph, sharing nothing mutable, from a decoded plan document.
 
     ``self_loops`` is ``"reject"`` (a self-edge is a syntax failure, the
     default) or ``"cycle"`` (keep it so the cycle check reports it instead).
-    Raises PlanSyntaxError for anything that cannot be read as a plan:
-    non-JSON text (including ``NaN``/``Infinity``, numbers that overflow to
-    them, and nesting too deep to decode), a non-object document,
-    missing/ill-typed fields, args nested deeper than ``MAX_ARGS_DEPTH``
-    levels, or a graph that breaks a PlanGraph invariant
-    (duplicate node ids, two nodes sharing a tool, edge endpoints that name no
-    node).  Repeated (from, to) pairs collapse to one edge.
+    Raises PlanSyntaxError for a non-object document, missing/ill-typed
+    fields, args nested deeper than ``MAX_ARGS_DEPTH`` levels, or a graph
+    that breaks a PlanGraph invariant (duplicate node ids, two nodes sharing a
+    tool, edge endpoints that name no node).  Repeated (from, to) pairs
+    collapse to one edge.
     """
     if self_loops not in ("reject", "cycle"):
         raise ValueError(f"self_loops must be 'reject' or 'cycle', got {self_loops!r}")
-    try:
-        doc = _DECODER.decode(text)
-    except json.JSONDecodeError as exc:
-        raise PlanSyntaxError(f"not valid JSON: {exc.msg} at position {exc.pos}") from None
-    except (ValueError, RecursionError) as exc:
-        raise PlanSyntaxError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise PlanSyntaxError("top-level value is not an object")
     if "nodes" not in doc:
@@ -300,9 +320,7 @@ def parse_plan(text: str, *, self_loops: str = "reject") -> PlanGraph:
             raise PlanSyntaxError(f"node {nid!r} has no usable tool")
         if not isinstance(args, dict):
             raise PlanSyntaxError(f"node {nid!r} args is not an object")
-        if args and _args_too_deep(args):
-            raise PlanSyntaxError(f"node {nid!r} args nest deeper than {MAX_ARGS_DEPTH} levels")
-        nodes.append(PlanNode(nid, tool, args))
+        nodes.append(PlanNode(nid, tool, _copy_args(args, 1, nid) if args else {}))
 
     pairs: dict[tuple[str, str], None] = {}
     for i, obj in enumerate(raw_edges):
@@ -333,13 +351,9 @@ def _canonical_args(value: Any) -> Any:
     return value
 
 
-def serialize_plan(g: PlanGraph) -> str:
-    """Canonical wire form: nodes sorted by id, edges by (from, to).
-
-    ``parse_plan(serialize_plan(g)) == g`` for every valid graph, and two
-    graphs equal as sets serialize byte-identically.
-    """
-    doc = {
+def plan_doc(g: PlanGraph) -> dict[str, Any]:
+    """The canonical plan document of ``g``, sharing nothing mutable with it."""
+    return {
         "nodes": [
             {"id": n.id, "tool": n.tool, "args": _canonical_args(dict(n.args))}
             for n in sorted(g.nodes, key=lambda n: n.id)
@@ -349,7 +363,13 @@ def serialize_plan(g: PlanGraph) -> str:
             for e in sorted(g.edges, key=lambda e: (e.src, e.dst))
         ],
     }
-    return json.dumps(doc, separators=(",", ":"), ensure_ascii=False)
+
+
+def serialize_plan(g: PlanGraph) -> str:
+    """Canonical wire form, ``plan_doc(g)`` as compact JSON: nodes sorted by id,
+    edges by (from, to), args keys sorted.  ``parse_plan(serialize_plan(g)) ==
+    g`` for every valid graph; graphs equal as sets serialize byte-identically."""
+    return json.dumps(plan_doc(g), separators=(",", ":"), ensure_ascii=False)
 
 
 def detect_cycle(g: PlanGraph) -> list[str] | None:

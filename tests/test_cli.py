@@ -425,3 +425,78 @@ def test_out_of_range_counts_are_usage_errors(tmp_path, argv):
         main(argv + ["--out", str(tmp_path / "out.jsonl")])
     assert exc.value.code == 2
     assert not (tmp_path / "out.jsonl").exists()
+
+
+# --- malformed input files -------------------------------------------------------
+
+
+def _record_line(**changes) -> str:
+    records, _ = build_dataset(LIB, {"Easy": 1}, seed=5)
+    doc = records[0].to_dict()
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("line, field", [
+    ("{}", 'missing field "id"'),
+    ("[1,2]", "record is not an object"),
+    (_record_line(provenance="oops"), 'field "provenance" is not an object'),
+    (_record_line(candidate_tools="abc"), 'field "candidate_tools" is not an array'),
+    (_record_line(candidate_tools=["a", 1]), 'field "candidate_tools" is not an array of strings'),
+    (_record_line(gold_plan={"nodes": [{"id": "a"}]}), 'field "gold_plan": node \'a\' has no usable tool'),
+    (_record_line(query=float("nan")), "not valid JSON: number NaN is not finite"),
+    ("[" * 100_000, "not valid JSON"),
+], ids=["empty-object", "array", "provenance-string", "tools-string", "tools-mixed",
+        "gold-no-tool", "nan", "deep-nesting"])
+def test_malformed_dataset_line_exits_two_naming_line_and_field(tmp_path, capsys, line, field):
+    dataset = write(tmp_path, "data.jsonl", _record_line() + "\n" + line + "\n")
+    predictions = write(tmp_path, "preds.jsonl", "")
+    assert main(["eval", "--predictions", predictions, "--dataset", dataset]) == 2
+    err = capsys.readouterr().err
+    assert f"data.jsonl line 2: {field}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, name, text, message", [
+    (["curate", "--dataset", "{data}", "--out", "{tmp}/kept.jsonl", "--fixture", "{file}"],
+     "cassette.json", "[1, 2]", "a cassette is an object of response strings"),
+    (["curate", "--dataset", "{data}", "--out", "{tmp}/kept.jsonl", "--fixture", "{file}"],
+     "cassette.json", '{"entries": {"k": 5}}', "entry 'k' is not a string"),
+    (["run", "--query", "q", "--fixture", "{file}"],
+     "cassette.json", "[]", "a cassette is an object of response strings"),
+    (["gen", "--out", "{tmp}/gen.jsonl", "--fixture", "{file}"],
+     "cassette.json", '"text"', "a cassette is an object of response strings"),
+    (["exec", "--plan", "{plan}", "--registry", "{file}"],
+     "bindings.json", "[]", "bindings are an object of tool id -> binding"),
+    (["exec", "--plan", "{plan}", "--registry", "{file}"],
+     "bindings.json", '{"t1": {"url": 5}}', "binding 't1' has no string \"url\""),
+    (["exec", "--plan", "{plan}", "--registry", "{file}"],
+     "bindings.json", '{"t1": "http://x"}', "binding 't1' has no string \"url\""),
+], ids=["curate-cassette-list", "curate-cassette-number", "run-cassette-list",
+        "gen-cassette-string", "exec-bindings-list", "exec-url-number", "exec-binding-string"])
+def test_malformed_cassette_or_bindings_exits_two(tmp_path, capsys, argv, name, text, message):
+    records, _ = build_dataset(LIB, {"Easy": 1}, seed=5)
+    save_records(records, tmp_path / "data.jsonl")
+    paths = {"data": tmp_path / "data.jsonl", "tmp": tmp_path,
+             "plan": write(tmp_path, "plan.json", VALID), "file": write(tmp_path, name, text)}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert f"{name}: {message}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"groups": 5}, 'field "groups" is not an object'),
+    ({"groups": {"Easy": {"count": "two"}}}, 'field "groups.Easy" is not an object of numbers'),
+    ({"groups": {}, "overall": []}, 'field "overall" is not an object of numbers'),
+    ({"branches": []}, 'field "branches" is not an object of numbers'),
+    ({"branches": {}, "mean_value": "high"}, 'field "mean_value" is not a number'),
+    ({"histogram": 3}, 'field "histogram" is not an object of numbers'),
+    ({"generated": {}, "requested": {"Easy": None}}, 'field "requested" is not an object of numbers'),
+], ids=["groups-number", "group-string", "overall-list", "branches-list", "mean-string",
+        "histogram-number", "requested-null"])
+def test_report_with_mistyped_section_exits_two_naming_the_field(tmp_path, capsys, doc, field):
+    assert main(["report", write(tmp_path, "summary.json", json.dumps(doc))]) == 2
+    out, err = capsys.readouterr()
+    assert field in err
+    assert out == ""
