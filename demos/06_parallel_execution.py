@@ -1,12 +1,13 @@
 """
-Executing plans as parallel waves
-=================================
+Executing plans with a ready-set scheduler
+==========================================
 
-Wave w holds every node whose predecessors all finished in earlier waves;
-nodes within a wave run concurrently.  A diamond of four 50ms tools therefore
-finishes in ~150ms instead of ~200ms.  Outputs flow along edges through
-"$node.field" references, and tool failures are contained by the chosen
-policy instead of raised.
+A node starts as soon as all its predecessors have finished, so independent
+nodes run concurrently.  A diamond of four 50ms tools therefore finishes in
+~150ms instead of ~200ms.  Outputs flow along edges through "$node.field"
+references, and tool failures are contained by the chosen policy instead of
+raised.  ``waves`` and each node's ``wave`` are the static depth (the longest
+chain of nodes ending there), not a record of when a node ran.
 """
 
 from dagplan import MockRegistry, count_waves, execute, parse_plan, trace_to_dot
@@ -26,6 +27,7 @@ print("critical-path depth (static):", count_waves(diamond))
 registry = MockRegistry(latency=0.05)
 parallel = execute(diamond, registry)
 sequential = execute(diamond, registry, max_workers=1)
+# Both runs report the same static depth; only the wall time differs.
 print(f"parallel:   {parallel.waves} waves, {parallel.wall_time * 1000:.0f}ms")
 print(f"sequential: {sequential.waves} waves, {sequential.wall_time * 1000:.0f}ms")
 
@@ -36,7 +38,8 @@ for nid, result in parallel.nodes.items():
 report_args = parallel.nodes["report"].output["args"]
 print("\nreport received:", report_args)
 
-# Failure policies: fail_fast stops scheduling, continue salvages branches.
+# Failure policies: fail_fast starts no node after the first failure,
+# continue salvages the branches that do not depend on it.
 flaky = MockRegistry(fail=("nlp.summarize",))
 for policy in ("fail_fast", "continue"):
     trace = execute(diamond, flaky, policy=policy)

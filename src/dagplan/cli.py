@@ -250,6 +250,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if pred_id is None:
             _err("eval predictions must be JSONL objects with an 'id' field")
             return 2
+        if not isinstance(pred_id, str):
+            raise FormatError(f'{args.predictions}: a prediction "id" is not a string')
         predictions[pred_id] = text
 
     groups, overall = evaluate_groups(
@@ -563,7 +565,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--latency", type=float, default=0.0, help="mock tool latency (seconds)")
     p.add_argument("--fail", default="", help="comma-separated tool ids the mock fails")
     p.add_argument("--policy", choices=("fail_fast", "continue"), default="fail_fast")
-    p.add_argument("--jobs", type=int, default=None, help="intra-wave concurrency cap")
+    p.add_argument("--jobs", type=_int_at_least(1), default=None,
+                   help="cap on nodes in flight (default and maximum: 32)")
     p.add_argument("--trace-out")
     p.add_argument("--dot", help="write wave-annotated DOT here")
     p.add_argument("--self-loop", choices=("reject", "cycle"), default="reject", dest="self_loop")
@@ -577,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--latency", type=float, default=0.0)
     p.add_argument("--fail", default="")
     p.add_argument("--policy", choices=("fail_fast", "continue"), default="fail_fast")
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=_int_at_least(1), default=None)
     p.add_argument("--synthesize", action="store_true",
                    help="compose the final answer with a synthesizer call")
     p.add_argument("--trace-out")

@@ -1,16 +1,22 @@
-"""Plan-then-execute runtime: run a validated plan as parallel waves.
+"""Plan-then-execute runtime: run a validated plan with a ready-set scheduler.
 
-Wave w contains every node all of whose predecessors completed in earlier
-waves; nodes within a wave run concurrently on a thread pool.  Outputs are
-materialized before dependents start, and argument values of the form
-``"$<node-id>.<field-path>"`` are resolved from predecessor outputs (a leading
-``$$`` escapes a literal dollar sign).  An edge carrying no reference is a
-pure ordering constraint.
+Each node waits for a count of unfinished predecessors; when it reaches zero
+the node is ready, and a ready node starts as soon as a slot is free.  Nodes
+run on one thread pool shared by every ``execute`` in the process, created on
+first use with ``MAX_WORKERS`` (32) threads, so no call starts threads of its
+own.  A node runs in the calling thread instead when nothing could run beside
+it: it is the only ready node and nothing is in flight, or ``max_workers`` is
+1.  Outputs are materialized before dependents start, and argument values of
+the form ``"$<node-id>.<field-path>"`` are resolved from predecessor outputs (a
+leading ``$$`` escapes a literal dollar sign).  An edge carrying no reference is
+a pure ordering constraint.  A node's ``wave`` is its static depth (the longest
+chain of predecessors above it), not the moment it ran.
 
-Two failure policies: ``fail_fast`` stops scheduling new waves after the
-first failure (everything not yet run is skipped); ``continue`` keeps running
-every node whose predecessors all succeeded and skips the rest.  There is no
-re-planning: the plan gets exactly one shot.
+Two failure policies: ``fail_fast`` starts no node after the first failure
+(nodes already in flight finish and keep their result; every other node is
+skipped); ``continue`` keeps running every node whose predecessors all
+succeeded and skips the rest.  There is no re-planning: the plan gets exactly
+one shot.
 
 ``inference_steps`` counts model calls only — 1 for the planner plus 1 for
 the optional synthesizer in ``run_end_to_end``; tool invocations never count.
@@ -20,13 +26,17 @@ A bare ``execute`` therefore reports 0.
 from __future__ import annotations
 
 import abc
+import contextvars
 import hashlib
+import heapq
 import json
 import math
+import os
+import threading
 import time
 import urllib.parse
 import urllib.request
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence
@@ -212,17 +222,6 @@ def _resolve_value(value: Any, outputs: Mapping[str, Any]) -> Any:
     return value
 
 
-def _ancestors(plan: PlanGraph, order: Sequence[str]) -> dict[str, set[str]]:
-    ancestors: dict[str, set[str]] = {}
-    for nid in order:
-        acc: set[str] = set()
-        for pred in plan.predecessors[nid]:
-            acc.add(pred)
-            acc |= ancestors[pred]
-        ancestors[nid] = acc
-    return ancestors
-
-
 # --- execution ----------------------------------------------------------------
 
 
@@ -299,12 +298,29 @@ def count_waves(plan: PlanGraph) -> int:
     return max(_static_waves(plan, order).values()) + 1
 
 
+def _is_ancestor(plan: PlanGraph, target: str, nid: str, position: Mapping[str, int]) -> bool:
+    """Whether ``target`` is an ancestor of ``nid``, by a walk up from ``nid``
+    that visits only nodes after ``target`` in topological order."""
+    floor = position[target]
+    seen = {nid}
+    stack = [nid]
+    while stack:
+        for pred in plan.predecessors[stack.pop()]:
+            if pred == target:
+                return True
+            if position[pred] > floor and pred not in seen:
+                seen.add(pred)
+                stack.append(pred)
+    return False
+
+
 def preflight(plan: PlanGraph, registry: ToolRegistry) -> list[str]:
     """Validate executability: acyclic, tools resolve, references well-formed.
 
-    Disconnected plans are executable (independent components simply share
-    waves); rejecting them is the planner-validation gate's job, not the
-    runtime's — see run_end_to_end.
+    A reference must name an ancestor of its node; checking it takes memory
+    linear in the plan.  Disconnected plans are executable (independent
+    components simply run side by side); rejecting them is the
+    planner-validation gate's job, not the runtime's — see run_end_to_end.
     """
     try:
         order = topo_order(plan)
@@ -313,18 +329,40 @@ def preflight(plan: PlanGraph, registry: ToolRegistry) -> list[str]:
     unresolved = sorted({n.tool for n in plan.nodes if not registry.resolves(n.tool)})
     if unresolved:
         raise PreflightError(f"unresolved tools: {unresolved}")
-    ancestors = _ancestors(plan, order)
+    position = {nid: i for i, nid in enumerate(order)}
     for node in plan.nodes:
         for target in _iter_reference_targets(node.args):
-            if target not in plan.node_index:
+            if target not in position:
                 raise PreflightError(
                     f"node {node.id!r} references unknown node {target!r}"
                 )
-            if target not in ancestors[node.id]:
+            if (target not in plan.predecessors[node.id]
+                    and not _is_ancestor(plan, target, node.id, position)):
                 raise PreflightError(
                     f"node {node.id!r} references {target!r}, which is not a predecessor"
                 )
     return order
+
+
+MAX_WORKERS = 32
+_pools: dict[int, ThreadPoolExecutor] = {}
+_worker = threading.local()
+
+
+def _mark_worker() -> None:
+    _worker.shared = True
+
+
+def _shared_pool() -> ThreadPoolExecutor:
+    """The process-wide node pool, created on first use; a forked child, whose
+    pid differs, builds its own.  ``setdefault`` is atomic, so concurrent first
+    calls agree on one pool (a losing pool never started a thread)."""
+    pid = os.getpid()
+    pool = _pools.get(pid)
+    if pool is None:
+        pool = _pools.setdefault(pid, ThreadPoolExecutor(
+            MAX_WORKERS, thread_name_prefix="dagplan-execute", initializer=_mark_worker))
+    return pool
 
 
 def execute(
@@ -334,67 +372,86 @@ def execute(
     *,
     max_workers: int | None = None,
 ) -> ExecutionTrace:
-    """Run the plan in parallel waves over the registry.
+    """Run the plan over the registry, each node as soon as its predecessors finish.
 
-    ``max_workers`` caps intra-wave concurrency (1 reproduces a sequential
-    replay).  Per-node failures are recorded, never raised: a ToolError, a
-    reference into upstream output that does not exist, or any other exception
-    the registry raises (its ``error`` then names the exception type).
-    Structural problems raise PreflightError before anything runs.
+    ``max_workers`` caps this call's nodes in flight (1 reproduces a sequential
+    replay in topological order); None, or a value above the shared pool's
+    ``MAX_WORKERS`` = 32 threads, means 32.  A plan executed from inside a tool
+    that itself runs on the shared pool runs sequentially, since waiting on
+    the pool from one of its own threads could deadlock.  Under ``fail_fast``
+    no node starts after the first failure.  Per-node failures are recorded,
+    never raised: a ToolError, a reference into upstream output that does not
+    exist, or any other exception the registry raises (its ``error`` then
+    names the exception type).  Structural problems raise PreflightError
+    before anything runs; ``max_workers`` below 1 raises ValueError.
     """
     if policy not in ("fail_fast", "continue"):
         raise ValueError(f"policy must be 'fail_fast' or 'continue', got {policy!r}")
+    if max_workers is not None and max_workers < 1:
+        raise ValueError(f"max_workers must be at least 1, got {max_workers}")
     order = preflight(plan, registry)
     wave_of = _static_waves(plan, order)
-    wave_groups: dict[int, list[str]] = {}
-    for nid in order:
-        wave_groups.setdefault(wave_of[nid], []).append(nid)
-
+    position = {nid: i for i, nid in enumerate(order)}
+    slots = min(max_workers or MAX_WORKERS, MAX_WORKERS)
+    if getattr(_worker, "shared", False):  # waiting on the pool from its own thread could deadlock
+        slots = 1
+    unfinished = {nid: len(plan.predecessors[nid]) for nid in order}
+    ready = [i for i, nid in enumerate(order) if not unfinished[nid]]  # sorted, so a heap
+    running: dict[Future, str] = {}
     results: dict[str, NodeResult] = {}
     outputs: dict[str, Any] = {}
+    halted = threading.Event()  # set by the first failure under fail_fast
     started_at = time.perf_counter()
-    aborted = False
-    pool_size = max_workers or max((len(g) for g in wave_groups.values()), default=1)
+
+    def skipped(nid: str) -> NodeResult:
+        return NodeResult(nid, plan.node_index[nid].tool, wave_of[nid], "skipped")
 
     def run_node(nid: str) -> NodeResult:
         node = plan.node_index[nid]
         start = time.perf_counter()
+        # Checked after taking ``start``, and set before taking ``finished``, so
+        # no node's start is later than the first failure's finish.
+        if halted.is_set():
+            return skipped(nid)
         try:
             args = _resolve_value(dict(node.args), outputs)
             output = registry.invoke(node.tool, args)
             return NodeResult(nid, node.tool, wave_of[nid], "ok", output,
                               started=start, finished=time.perf_counter())
         except Exception as exc:  # an untrusted registry's failure is this node's failure
+            if policy == "fail_fast":
+                halted.set()
             error = str(exc) if isinstance(exc, ToolError) else f"{type(exc).__name__}: {exc}"
             return NodeResult(nid, node.tool, wave_of[nid], "failed", error=error,
                               started=start, finished=time.perf_counter())
 
-    with ThreadPoolExecutor(max_workers=pool_size) as pool:
-        for wave_index in sorted(wave_groups):
-            group = wave_groups[wave_index]
-            if aborted:
-                for nid in group:
-                    node = plan.node_index[nid]
-                    results[nid] = NodeResult(nid, node.tool, wave_index, "skipped")
-                continue
-            runnable: list[str] = []
-            for nid in group:
-                if all(results[p].status == "ok" for p in plan.predecessors[nid]):
-                    runnable.append(nid)
-                else:
-                    node = plan.node_index[nid]
-                    results[nid] = NodeResult(nid, node.tool, wave_index, "skipped")
-            for nid, result in zip(runnable, pool.map(run_node, runnable)):
-                results[nid] = result
-                if result.status == "ok":
-                    outputs[nid] = result.output
-            if policy == "fail_fast" and any(
-                results[nid].status == "failed" for nid in runnable
-            ):
-                aborted = True
+    def settle(nid: str, result: NodeResult) -> None:
+        results[nid] = result
+        if result.status == "ok":
+            outputs[nid] = result.output
+        for succ in plan.successors[nid]:
+            unfinished[succ] -= 1
+            if not unfinished[succ]:
+                heapq.heappush(ready, position[succ])
 
-    executed = [r.wave for r in results.values() if r.status in ("ok", "failed")]
-    ordered = {nid: results[nid] for nid in sorted(results, key=lambda n: (wave_of[n], n))}
+    while running or (ready and not halted.is_set()):
+        while ready and len(running) < slots and not halted.is_set():
+            nid = order[heapq.heappop(ready)]
+            if any(results[p].status != "ok" for p in plan.predecessors[nid]):
+                settle(nid, skipped(nid))
+            elif slots == 1 or not (ready or running):
+                settle(nid, run_node(nid))
+            else:
+                future = _shared_pool().submit(contextvars.copy_context().run, run_node, nid)
+                running[future] = nid
+        if running:
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in sorted(done, key=lambda f: position[running[f]]):
+                settle(running.pop(future), future.result())
+
+    by_wave = sorted(order, key=lambda n: (wave_of[n], n))
+    ordered = {nid: results.get(nid) or skipped(nid) for nid in by_wave}
+    executed = [r.wave for r in ordered.values() if r.status in ("ok", "failed")]
     return ExecutionTrace(
         nodes=ordered,
         waves=max(executed, default=-1) + 1,

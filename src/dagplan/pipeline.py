@@ -192,10 +192,15 @@ class DatasetRecord:
         tools = _field(doc, "candidate_tools", list)
         if not all(isinstance(t, str) for t in tools):
             raise FormatError('field "candidate_tools" is not an array of strings')
+        if not _is_unicode("".join(tools)):
+            raise FormatError('field "candidate_tools" is not valid Unicode')
         try:
             gold = plan_from_doc(_field(doc, "gold_plan", object))
         except PlanSyntaxError as exc:
             raise FormatError(f'field "gold_plan": {exc.reason}') from None
+        if not (_is_unicode("".join(n.id + n.tool for n in gold.nodes))
+                and all(_is_unicode(n.args) for n in gold.nodes if n.args)):
+            raise FormatError('field "gold_plan" is not valid Unicode')
         difficulty = _field(doc, "difficulty", str)
         prov = _field(doc, "provenance", dict, {})
         provenance = Provenance(
@@ -222,7 +227,27 @@ def _field(doc: Mapping[str, Any], name: str, kind: Any, default: Any = _REQUIRE
     value = doc[name]
     if not isinstance(value, kind):
         raise FormatError(f'field "{parent}{name}" is not {_JSON_TYPES[kind]}')
+    if isinstance(value, str) and not _is_unicode(value):
+        raise FormatError(f'field "{parent}{name}" is not valid Unicode')
     return value
+
+
+def _is_unicode(value: Any) -> bool:
+    """Whether every string in a decoded JSON value encodes as UTF-8; a lone
+    surrogate escape such as ``"\\ud800"`` decodes to one that does not."""
+    if isinstance(value, str):
+        if value.isascii():
+            return True
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            return False
+        return True
+    if isinstance(value, dict):
+        return _is_unicode(list(value)) and _is_unicode(list(value.values()))
+    if isinstance(value, list):
+        return all(map(_is_unicode, value))
+    return True
 
 
 def save_records(records: Iterable[DatasetRecord], path: str | Path, *, append: bool = False) -> None:

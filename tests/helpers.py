@@ -37,6 +37,12 @@ def chain_plan(tools) -> PlanGraph:
     return make_plan(nodes, edges)
 
 
+def fan_out_plan(width: int) -> PlanGraph:
+    """A root node with ``width`` successors and nothing else."""
+    return make_plan([("root", "t0")] + [(f"n{i:02d}", f"t{i + 1}") for i in range(width)],
+                     [("root", f"n{i:02d}") for i in range(width)])
+
+
 def random_gold(rng: random.Random, max_nodes: int = 8, tool_pool=None) -> PlanGraph:
     """Random valid gold: non-empty, acyclic, weakly connected.
 

@@ -179,6 +179,15 @@ def test_eval_counts_missing_predictions_as_failures(tmp_path):
     assert doc["overall"]["exact_match"] == 0.5
 
 
+def test_eval_prediction_id_that_is_not_a_string_exits_two(tmp_path, capsys):
+    dataset = write(tmp_path, "data.jsonl", _record_line() + "\n")
+    predictions = write(tmp_path, "preds.jsonl", '{"id": [1], "candidate": "x"}\n')
+    assert main(["eval", "--predictions", predictions, "--dataset", dataset]) == 2
+    err = capsys.readouterr().err
+    assert 'preds.jsonl: a prediction "id" is not a string' in err
+    assert "Traceback" not in err
+
+
 # --- gen -----------------------------------------------------------------------
 
 
@@ -346,6 +355,20 @@ def test_exec_cyclic_plan_rejected(tmp_path):
 def test_exec_unparseable_plan_is_io_error(tmp_path):
     plan_file = write(tmp_path, "plan.json", "not a plan")
     assert main(["exec", "--plan", plan_file]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["exec", "--jobs", "0"],
+    ["exec", "--jobs", "-1"],
+    ["run", "--query", "q", "--jobs", "0"],
+], ids=["exec-jobs-0", "exec-jobs-minus-1", "run-jobs-0"])
+def test_exec_and_run_jobs_below_one_are_usage_errors(tmp_path, capsys, argv):
+    if argv[0] == "exec":
+        argv = argv + ["--plan", write(tmp_path, "plan.json", VALID)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
 
 
 # --- run -----------------------------------------------------------------------

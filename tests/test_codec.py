@@ -170,3 +170,42 @@ def test_record_shares_nothing_mutable_with_its_document():
     assert record.to_dict() == before
     record.to_dict()["gold_plan"]["nodes"][0]["args"]["k"].append(4)
     assert record.to_dict() == before
+
+
+@pytest.mark.parametrize("where, field", [
+    ("id", "id"), ("query", "query"), ("candidate_tools", "candidate_tools"),
+    ("node id", "gold_plan"), ("args", "gold_plan"), ("args key", "gold_plan"),
+    ("generator", "provenance.generator"),
+])
+def test_strings_that_are_not_valid_unicode_are_format_errors(tmp_path, where, field):
+    lone = "x\ud800y"  # a lone surrogate: no UTF-8 encoding exists
+    doc = {"id": "r", "query": "q", "candidate_tools": ["t"], "difficulty": "Easy",
+           "gold_plan": {"nodes": [{"id": "a", "tool": "t", "args": {"k": ["v"]}}]},
+           "provenance": {"generator": "g"}}
+    node = doc["gold_plan"]["nodes"][0]
+    if where in ("id", "query"):
+        doc[where] = lone
+    elif where == "candidate_tools":
+        doc["candidate_tools"].append(lone)
+    elif where == "node id":
+        node["id"] = lone
+    elif where == "args":
+        node["args"]["k"].append({"deep": lone})
+    elif where == "args key":
+        node["args"][lone] = 1
+    else:
+        doc["provenance"]["generator"] = lone
+    path = tmp_path / "data.jsonl"
+    path.write_text(json.dumps(doc) + "\n", encoding="utf-8")  # written as a \ud800 escape
+    with pytest.raises(FormatError, match=f'line 1: field "{field}" is not valid Unicode'):
+        load_records(path)
+
+
+def test_escaped_surrogate_pairs_load_and_save(tmp_path):
+    doc = {"id": "r", "query": "smile \U0001F600", "candidate_tools": ["t"], "difficulty": "Easy",
+           "gold_plan": {"nodes": [{"id": "a", "tool": "t", "args": {"k": "\u00e9"}}]}}
+    path = tmp_path / "data.jsonl"
+    path.write_text(json.dumps(doc) + "\n", encoding="utf-8")  # ASCII with \ud83d\ude00
+    records = load_records(path)
+    save_records(records, tmp_path / "again.jsonl")
+    assert load_records(tmp_path / "again.jsonl") == records

@@ -1,4 +1,4 @@
-"""Wave scheduling, data flow, failure policies, and end-to-end runs.
+"""Ready-set scheduling, data flow, failure policies, and end-to-end runs.
 
 Wave counts are checked against an exhaustive longest-path enumeration; wave
 soundness against per-edge timestamp comparison.
@@ -6,9 +6,14 @@ soundness against per-edge timestamp comparison.
 
 from __future__ import annotations
 
+import contextvars
 import json
+import os
 import random
+import signal
 import threading
+import time
+import tracemalloc
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -31,7 +36,8 @@ from dagplan import (
     serialize_plan,
     trace_to_dot,
 )
-from helpers import chain_plan, make_plan, random_gold
+from dagplan.executor import MAX_WORKERS, preflight
+from helpers import chain_plan, fan_out_plan, make_plan, random_gold
 
 
 def longest_path_oracle(g: PlanGraph) -> int:
@@ -463,3 +469,122 @@ def test_registry_exceptions_other_than_tool_error_fail_the_node():
     trace = execute(DIAMOND, BrokenRegistry(), "continue")
     assert trace.statuses() == {"a": "ok", "b": "failed", "c": "ok", "d": "skipped"}
     assert trace.nodes["b"].error == "KeyError: 'lost'"
+
+
+# --- ready-set scheduling on the shared pool ------------------------------------------
+
+
+def test_preflight_memory_is_linear_on_a_long_reference_chain():
+    n = 20_000
+    plan = make_plan(
+        [(f"n{i}", f"t{i}", {"prev": f"$n{i - 1}.digest"} if i else {}) for i in range(n)],
+        [(f"n{i}", f"n{i + 1}") for i in range(n - 1)],
+    )
+    tracemalloc.start()
+    try:
+        order = preflight(plan, MockRegistry())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(order) == n
+    assert peak < 20 * 2**20
+
+
+def test_references_are_checked_against_ancestors_across_branches():
+    # root -> a -> b -> join and root -> c -> join; c sorts before b.
+    nodes = [("root", "t0"), ("a", "t1"), ("b", "t2"), ("c", "t3")]
+    edges = [("root", "a"), ("a", "b"), ("root", "c"), ("b", "join"), ("c", "join")]
+    two_hops = make_plan(nodes + [("join", "t4", {"x": "$a.digest", "y": "$root.digest"})], edges)
+    trace = execute(two_hops, MockRegistry())
+    assert trace.nodes["join"].output["args"]["x"] == trace.nodes["a"].output["digest"]
+    sibling = make_plan(nodes[:3] + [("c", "t3", {"x": "$a.digest"}), ("join", "t4")], edges)
+    with pytest.raises(PreflightError, match="'c' references 'a', which is not a predecessor"):
+        preflight(sibling, MockRegistry())
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_max_workers_below_one_is_a_value_error(workers):
+    with pytest.raises(ValueError, match="max_workers must be at least 1"):
+        execute(DIAMOND, MockRegistry(), max_workers=workers)
+
+
+QUERY: contextvars.ContextVar[str | None] = contextvars.ContextVar("query", default=None)
+
+
+class SamplingRegistry(MockRegistry):
+    """A MockRegistry that records the live thread count and a context variable per call."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.peak_threads = 0
+        self.seen: dict[str, object] = {}
+
+    def invoke(self, tool_id, args):
+        self.peak_threads = max(self.peak_threads, threading.active_count())
+        self.seen[tool_id] = QUERY.get()
+        return super().invoke(tool_id, args)
+
+
+def test_wide_fan_out_stays_within_the_shared_pool():
+    outside = [t for t in threading.enumerate() if not t.name.startswith("dagplan-execute")]
+    registry = SamplingRegistry(latency=0.05)
+    trace = execute(fan_out_plan(48), registry)
+    assert trace.ok() and trace.waves == 2
+    assert registry.peak_threads <= MAX_WORKERS + len(outside)
+    assert trace.wall_time >= 0.15  # 48 tools of 50 ms on 32 threads: three rounds
+
+
+def test_tools_run_in_the_callers_context():
+    registry = SamplingRegistry(latency=0.01)
+    token = QUERY.set("q7")
+    try:
+        execute(fan_out_plan(6), registry)
+    finally:
+        QUERY.reset(token)
+    assert set(registry.seen.values()) == {"q7"}
+
+
+def test_fail_fast_keeps_what_started_before_the_failure():
+    # "slow" fails after 0.2 s; the chain a -> b has finished by then.
+    plan = make_plan([("slow", "t0"), ("a", "t1"), ("b", "t2"), ("after", "t3")],
+                     [("a", "b"), ("slow", "after")])
+    registry = MockRegistry(latency={"t0": 0.2}, fail=("t0",))
+    trace = execute(plan, registry, policy="fail_fast")
+    assert trace.statuses() == {"a": "ok", "slow": "failed", "b": "ok", "after": "skipped"}
+
+
+def test_a_tool_that_executes_a_plan_does_not_deadlock_the_pool():
+    class NestingRegistry(MockRegistry):
+        def invoke(self, tool_id, args):
+            inner = execute(fan_out_plan(4), MockRegistry(latency=0.001))
+            return {"inner_ok": inner.ok(), **super().invoke(tool_id, args)}
+
+    done = []
+    worker = threading.Thread(
+        target=lambda: done.append(execute(fan_out_plan(40), NestingRegistry())), daemon=True)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive()
+    assert done[0].ok()
+    assert all(r.output["inner_ok"] for r in done[0].nodes.values())
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_builds_its_own_pool():
+    execute(fan_out_plan(8), MockRegistry(latency=0.001))  # the parent's pool has threads now
+    pid = os.fork()
+    if pid == 0:  # the child: exit at once, never return into the test runner
+        try:
+            ok = execute(fan_out_plan(8), MockRegistry(latency=0.001)).ok()
+        finally:
+            os._exit(0 if ok else 1)
+    deadline = time.monotonic() + 30
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done or time.monotonic() > deadline:
+            break
+        time.sleep(0.01)
+    if not done:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done and os.waitstatus_to_exitcode(status) == 0
