@@ -1,15 +1,18 @@
 """Plan-then-execute runtime: run a validated plan with a ready-set scheduler.
 
 Each node waits for a count of unfinished predecessors; when it reaches zero
-the node is ready, and a ready node starts as soon as a slot is free.  Nodes
-run on one thread pool shared by every ``execute`` in the process, created on
-first use with ``MAX_WORKERS`` (32) threads, so no call starts threads of its
-own.  A node runs in the calling thread instead when nothing could run beside
-it: it is the only ready node and nothing is in flight, or ``max_workers`` is
-1.  Outputs are materialized before dependents start, and argument values of
-the form ``"$<node-id>.<field-path>"`` are resolved from predecessor outputs (a
-leading ``$$`` escapes a literal dollar sign).  An edge carrying no reference is
-a pure ordering constraint.  A node's ``wave`` is its static depth (the longest
+the node is ready, and a ready node starts as soon as a slot is free, the
+earliest in topological order first.  The calling thread runs ready nodes
+itself, and for each further ready node asks one thread pool, shared by every
+``execute`` in the process and created on first use with ``MAX_WORKERS`` (32)
+threads, for a helper that runs ready nodes the same way; no call starts
+threads of its own.  A plan of fast tools thus runs mostly in the calling
+thread, which waits on another thread only for a node that thread is running,
+while slow tools run side by side on the helpers.  Outputs are materialized
+before dependents start, and argument values of the form
+``"$<node-id>.<field-path>"`` are resolved from predecessor outputs (a leading
+``$$`` escapes a literal dollar sign).  An edge carrying no reference is a
+pure ordering constraint.  A node's ``wave`` is its static depth (the longest
 chain of predecessors above it), not the moment it ran.
 
 Two failure policies: ``fail_fast`` starts no node after the first failure
@@ -26,6 +29,7 @@ A bare ``execute`` therefore reports 0.
 from __future__ import annotations
 
 import abc
+import collections
 import contextvars
 import hashlib
 import heapq
@@ -36,10 +40,10 @@ import threading
 import time
 import urllib.parse
 import urllib.request
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from .catalog import ToolSpec
 from .clients import CompletionClient, http_request
@@ -345,24 +349,54 @@ def preflight(plan: PlanGraph, registry: ToolRegistry) -> list[str]:
 
 
 MAX_WORKERS = 32
-_pools: dict[int, ThreadPoolExecutor] = {}
-_worker = threading.local()
 
 
-def _mark_worker() -> None:
-    _worker.shared = True
+class _Helpers:
+    """The process-wide pool of ``MAX_WORKERS`` threads and the calls that want
+    its help, one entry per ready node that no thread has taken.  A helper
+    serves whichever call asks when it starts, so one left over from a call
+    that finished on its own serves the next call instead of another being
+    woken."""
+
+    def __init__(self) -> None:
+        self.pool = ThreadPoolExecutor(MAX_WORKERS, thread_name_prefix="dagplan-execute")
+        self.lock = threading.Lock()
+        self.asks: collections.deque[Callable[[], None]] = collections.deque()
+        self.queued = 0  # helpers submitted to the pool that have not started
+
+    def ask(self, work: Callable[[], None], n: int) -> None:
+        with self.lock:
+            self.asks.extend([work] * n)
+            wanted = len(self.asks) - self.queued
+            self.queued += max(wanted, 0)
+        for _ in range(wanted):
+            self.pool.submit(self.serve)
+
+    def withdraw(self, work: Callable[[], None]) -> None:
+        """Drop the asks of a call that has finished."""
+        with self.lock:
+            self.asks = collections.deque(w for w in self.asks if w is not work)
+
+    def serve(self) -> None:
+        with self.lock:
+            self.queued -= 1
+        while True:
+            with self.lock:
+                if not self.asks:
+                    return
+                work = self.asks.popleft()
+            work()
 
 
-def _shared_pool() -> ThreadPoolExecutor:
-    """The process-wide node pool, created on first use; a forked child, whose
-    pid differs, builds its own.  ``setdefault`` is atomic, so concurrent first
-    calls agree on one pool (a losing pool never started a thread)."""
+_helpers: dict[int, _Helpers] = {}
+
+
+def _shared_helpers() -> _Helpers:
+    """Created on first use; a forked child, whose pid differs, builds its own.
+    ``setdefault`` is atomic, so concurrent first calls agree on one (a losing
+    pool never started a thread)."""
     pid = os.getpid()
-    pool = _pools.get(pid)
-    if pool is None:
-        pool = _pools.setdefault(pid, ThreadPoolExecutor(
-            MAX_WORKERS, thread_name_prefix="dagplan-execute", initializer=_mark_worker))
-    return pool
+    return _helpers.get(pid) or _helpers.setdefault(pid, _Helpers())
 
 
 def execute(
@@ -374,16 +408,15 @@ def execute(
 ) -> ExecutionTrace:
     """Run the plan over the registry, each node as soon as its predecessors finish.
 
-    ``max_workers`` caps this call's nodes in flight (1 reproduces a sequential
-    replay in topological order); None, or a value above the shared pool's
-    ``MAX_WORKERS`` = 32 threads, means 32.  A plan executed from inside a tool
-    that itself runs on the shared pool runs sequentially, since waiting on
-    the pool from one of its own threads could deadlock.  Under ``fail_fast``
-    no node starts after the first failure.  Per-node failures are recorded,
-    never raised: a ToolError, a reference into upstream output that does not
-    exist, or any other exception the registry raises (its ``error`` then
-    names the exception type).  Structural problems raise PreflightError
-    before anything runs; ``max_workers`` below 1 raises ValueError.
+    ``max_workers`` caps this call's nodes in flight, the calling thread's
+    included (1 reproduces a sequential replay in topological order in the
+    calling thread); None, or a value above the shared pool's ``MAX_WORKERS``
+    = 32 threads, means 32.  Under ``fail_fast`` no node starts after the
+    first failure.  Per-node failures are recorded, never raised: a
+    ToolError, a reference into upstream output that does not exist, or any
+    other exception the registry raises (its ``error`` then names the
+    exception type).  Structural problems raise PreflightError before
+    anything runs; ``max_workers`` below 1 raises ValueError.
     """
     if policy not in ("fail_fast", "continue"):
         raise ValueError(f"policy must be 'fail_fast' or 'continue', got {policy!r}")
@@ -393,14 +426,15 @@ def execute(
     wave_of = _static_waves(plan, order)
     position = {nid: i for i, nid in enumerate(order)}
     slots = min(max_workers or MAX_WORKERS, MAX_WORKERS)
-    if getattr(_worker, "shared", False):  # waiting on the pool from its own thread could deadlock
-        slots = 1
     unfinished = {nid: len(plan.predecessors[nid]) for nid in order}
     ready = [i for i, nid in enumerate(order) if not unfinished[nid]]  # sorted, so a heap
-    running: dict[Future, str] = {}
+    running = 0  # nodes in flight, on any thread
+    asked = 0    # asks for a helper that no helper has taken yet
+    state = threading.Condition(threading.Lock())  # guards the above; the caller waits on it
     results: dict[str, NodeResult] = {}
     outputs: dict[str, Any] = {}
     halted = threading.Event()  # set by the first failure under fail_fast
+    context = contextvars.copy_context()
     started_at = time.perf_counter()
 
     def skipped(nid: str) -> NodeResult:
@@ -434,20 +468,45 @@ def execute(
             if not unfinished[succ]:
                 heapq.heappush(ready, position[succ])
 
-    while running or (ready and not halted.is_set()):
-        while ready and len(running) < slots and not halted.is_set():
+    def work() -> None:
+        """Run ready nodes, earliest in topological order first, until none is
+        ready or no slot is free; the caller and every helper run this with
+        ``state`` held, and release it around each node."""
+        nonlocal running, asked
+        while ready and running < slots and not halted.is_set():
             nid = order[heapq.heappop(ready)]
             if any(results[p].status != "ok" for p in plan.predecessors[nid]):
                 settle(nid, skipped(nid))
-            elif slots == 1 or not (ready or running):
-                settle(nid, run_node(nid))
-            else:
-                future = _shared_pool().submit(contextvars.copy_context().run, run_node, nid)
-                running[future] = nid
-        if running:
-            done, _ = wait(running, return_when=FIRST_COMPLETED)
-            for future in sorted(done, key=lambda f: position[running[f]]):
-                settle(running.pop(future), future.result())
+                continue
+            running += 1
+            more = min(len(ready), slots - running) - asked
+            if more > 0:
+                asked += more
+                _shared_helpers().ask(helper, more)
+            state.release()
+            try:
+                result = run_node(nid)
+            finally:
+                state.acquire()
+                running -= 1
+                state.notify()
+            settle(nid, result)
+
+    def helper() -> None:
+        nonlocal asked
+        with state:
+            asked -= 1
+            context.copy().run(work)  # tools see the caller's context variables
+
+    # The caller never waits for a helper to start, only for nodes in flight,
+    # so a plan executed from a tool on the pool cannot deadlock it.
+    with state:
+        work()
+        while running or (ready and not halted.is_set()):
+            state.wait()
+            work()
+        if asked:
+            _shared_helpers().withdraw(helper)
 
     by_wave = sorted(order, key=lambda n: (wave_of[n], n))
     ordered = {nid: results.get(nid) or skipped(nid) for nid in by_wave}

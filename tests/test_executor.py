@@ -544,6 +544,22 @@ def test_tools_run_in_the_callers_context():
     assert set(registry.seen.values()) == {"q7"}
 
 
+def test_helpers_shared_by_concurrent_calls_keep_each_callers_context():
+    registries = {name: SamplingRegistry(latency=0.005) for name in ("qa", "qb", "qc")}
+
+    def call(name):
+        QUERY.set(name)  # each thread starts in a context of its own
+        execute(fan_out_plan(12), registries[name])
+
+    callers = [threading.Thread(target=call, args=(name,)) for name in registries]
+    for caller in callers:
+        caller.start()
+    for caller in callers:
+        caller.join(timeout=30)
+    assert {name: set(r.seen.values()) for name, r in registries.items()} == {
+        name: {name} for name in registries}
+
+
 def test_fail_fast_keeps_what_started_before_the_failure():
     # "slow" fails after 0.2 s; the chain a -> b has finished by then.
     plan = make_plan([("slow", "t0"), ("a", "t1"), ("b", "t2"), ("after", "t3")],
