@@ -19,13 +19,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
+from .plan import FormatError, decode_json
+
 PARAM_TYPES = ("string", "number", "boolean", "object", "array")
 
 _KNOWN_TOOL_FIELDS = {"id", "name", "description", "params", "output_schema"}
 _KNOWN_PARAM_FIELDS = {"name", "type", "required"}
 
 
-class MalformedCatalogError(ValueError):
+class MalformedCatalogError(FormatError):
     """The catalog file cannot be read as the documented format."""
 
 
@@ -184,9 +186,9 @@ def load_library(path: str | Path) -> ToolLibrary:
     """Load a catalog file, rejecting parse failures and duplicate ids."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise MalformedCatalogError(f"{path}: not valid JSON: {exc.msg}") from None
+        doc = decode_json(path.read_text(encoding="utf-8"), MalformedCatalogError)
+    except MalformedCatalogError as exc:
+        raise MalformedCatalogError(f"{path}: {exc}") from None
     if not isinstance(doc, list):
         raise MalformedCatalogError(f"{path}: top-level value is not an array")
     tools = [_parse_tool(obj, i) for i, obj in enumerate(doc)]

@@ -86,7 +86,11 @@ def _resolve_client(args: argparse.Namespace) -> CompletionClient | None:
         return FixtureClient(args.fixture)
     file_cfg: dict[str, Any] = {}
     if getattr(args, "client_config", None):
-        file_cfg = json.loads(_read_text(args.client_config))
+        file_cfg = read_json(args.client_config)
+        kinds = {"base_url": str, "model": str, "api_key_env": str, "timeout": (int, float)}
+        if not isinstance(file_cfg, dict) or any(
+                k in file_cfg and not isinstance(file_cfg[k], t) for k, t in kinds.items()):
+            raise FormatError(f'{args.client_config}: not an object of strings and a numeric "timeout"')
     base_url = (
         getattr(args, "base_url", None)
         or os.environ.get("DAGPLAN_BASE_URL")

@@ -12,12 +12,14 @@ from __future__ import annotations
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from typing import Any, Sequence
 
 from .clients import ClientError, CompletionClient
 from .pipeline import DatasetRecord
 from .prompts import replan_prompt
-from .reward import REWARD_MAX, score_plan
+# score_plan stays bound for perfbench's traced runs.
+from .reward import REWARD_MAX, score_group, score_plan  # noqa: F401
 
 DEFAULT_BOUNDS = (0.0, 1.0)
 DEFAULT_ROLLOUTS = 5
@@ -48,39 +50,40 @@ def _profile(
 ) -> list[RolloutProfile | ClientError]:
     """``profile_task`` for each record, in input order, on one pool of ``workers`` threads.
 
+    Pool threads only call the planner; this thread scores each record's group.
     A record with a rollout that failed all ``retries`` attempts gets that
     ClientError instead of a profile.
     """
     if n < 2:
         raise ValueError("rollout count must be >= 2")
     low, high = bounds
-    prompts = [replan_prompt(r.query, r.candidate_tools) for r in records]
+    # Prompts are built as their slice is submitted, so one slice's prompts are held at a time.
+    prompts = (replan_prompt(r.query, r.candidate_tools) for r in records)
+    jobs = ((prompt, seed) for prompt in prompts for seed in range(n))
 
-    def rollout(job: int) -> bool | ClientError:
-        k, seed = divmod(job, n)
+    def rollout(job: tuple[str, int]) -> str | ClientError:
+        prompt, seed = job
         error = None
         for _ in range(retries):
             try:
-                text = planner.complete(prompts[k], seed=seed)
+                return planner.complete(prompt, seed=seed)
             except ClientError as exc:
                 error = exc
-                continue
-            return score_plan(text, records[k].gold_plan).value == REWARD_MAX
         assert error is not None
         return error
 
-    # Submit 64 rollouts per worker at a time, so queued futures stay bounded.
-    total, step = len(records) * n, 64 * workers
-    outcomes: list[bool | ClientError] = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for start in range(0, total, step):
-            outcomes += pool.map(rollout, range(start, min(start + step, total)))
+    # Submit 64 rollouts per worker at a time, so queued futures stay bounded,
+    # and score each record's group here as soon as its n texts are in.
+    step = 64 * workers
     profiles: list[RolloutProfile | ClientError] = []
-    for k, record in enumerate(records):
-        group = outcomes[k * n:(k + 1) * n]
-        failure = next((o for o in group if isinstance(o, ClientError)), None)
-        solves = sum(o is True for o in group)
-        profiles.append(failure or RolloutProfile(record.record_id, n, solves, kept=low < solves / n < high))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        slices = (pool.map(rollout, islice(jobs, step)) for _ in range(0, len(records) * n, step))
+        outcomes = chain.from_iterable(slices)
+        for record in records:
+            texts = list(islice(outcomes, n))
+            failure = next((t for t in texts if isinstance(t, ClientError)), None)
+            solves = 0 if failure else sum(b.value == REWARD_MAX for b in score_group(texts, record.gold_plan))
+            profiles.append(failure or RolloutProfile(record.record_id, n, solves, low < solves / n < high))
     return profiles
 
 

@@ -35,6 +35,7 @@ from .plan import (
     parse_plan,
     plan_doc,
     plan_from_doc,
+    read_json,
     serialize_plan,
     topo_order,
     validate_graph,
@@ -102,7 +103,16 @@ class DifficultyConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "DifficultyConfig":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        """Read a band config file; FormatError when it is not JSON or not valid bands."""
+        doc = read_json(path)
+        bands = doc.values() if isinstance(doc, dict) else [None]
+        ranges = [b.get(k) if isinstance(b, dict) else None for b in bands for k in ("candidates", "required")]
+        if not all(isinstance(r, list) and len(r) == 2 and all(type(x) is int for x in r) for r in ranges):
+            raise FormatError(f'{path}: bands are objects of "candidates" and "required" [lo, hi] integers')
+        try:
+            return cls.from_dict(doc)
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from None
 
     def to_dict(self) -> dict[str, Any]:
         return {

@@ -10,7 +10,8 @@ the first failing level:
    when the candidate's node set AND edge set both equal the gold's.
 
 The resulting scalar always lies in [-10.0, +10.0], and +10.0 is attainable
-only by an exact match.  ``group_advantages`` provides the per-group z-score
+only by an exact match.  ``score_group`` scores a rollout group against one
+gold plan, and ``group_advantages`` provides the per-group z-score
 normalization that turns a batch of these rewards into advantages for
 group-relative policy optimization; the policy update itself is out of scope.
 """
@@ -88,35 +89,41 @@ def edge_f1(predicted: Iterable, gold: Iterable) -> float:
     return set_prf(predicted, gold)[2]
 
 
-def score_plan(
-    candidate_text: str, gold: PlanGraph, *, self_loops: str = "reject"
-) -> RewardBreakdown:
-    """Score raw candidate text against a gold plan, fail-fast.
+def score_plan(candidate_text: str, gold: PlanGraph, *, self_loops: str = "reject") -> RewardBreakdown:
+    """Score raw candidate text against a gold plan: ``score_group`` of one text."""
+    return score_group([candidate_text], gold, self_loops=self_loops)[0]
+
+
+def score_group(texts: Sequence[str], gold: PlanGraph, *, self_loops: str = "reject") -> list[RewardBreakdown]:
+    """Score a rollout group against one gold plan, fail-fast per text.
 
     Checks run in strict precedence — syntax, then cycle, then connectivity —
     and the first failing level's penalty is returned; the verdict and its
     witness are those of ``validate_text``.  Candidates passing all
     three score ``5*edge_f1 + 5*exact_match`` from ``metrics.score_pair``:
     edges compare as (source tool, target tool) pairs and exact match means
-    tool-set and edge-set equality with the gold.
+    tool-set and edge-set equality with the gold.  The gold is checked once
+    and each distinct text is scored once; results keep input order.
 
     Raises InvalidGoldError when the gold plan itself is cyclic; gold
     connectivity is a dataset-build-time obligation and is not checked here.
     """
     gold_cycle = detect_cycle(gold)
     if gold_cycle is not None:
-        raise InvalidGoldError(
-            "gold plan is cyclic: " + " -> ".join(gold_cycle)
+        raise InvalidGoldError("gold plan is cyclic: " + " -> ".join(gold_cycle))
+    scores: dict[str, RewardBreakdown] = {}
+    for text in dict.fromkeys(texts):
+        report = validate_text(text, self_loops=self_loops)
+        if not report.fully_valid:
+            branch = RewardBranch(report.failed_check)
+            scores[text] = RewardBreakdown(branch, _PENALTIES[branch], detail=report.detail)
+            continue
+        pair = score_pair(report.graph, gold)
+        value = EDGE_F1_SCALE * pair.edge_f1 + PERFECT_MATCH_BONUS * pair.exact_match
+        scores[text] = RewardBreakdown(
+            RewardBranch.FIDELITY, value, edge_f1=pair.edge_f1, perfect_match=bool(pair.exact_match)
         )
-    report = validate_text(candidate_text, self_loops=self_loops)
-    if not report.fully_valid:
-        branch = RewardBranch(report.failed_check)
-        return RewardBreakdown(branch, _PENALTIES[branch], detail=report.detail)
-    pair = score_pair(report.graph, gold)
-    value = EDGE_F1_SCALE * pair.edge_f1 + PERFECT_MATCH_BONUS * pair.exact_match
-    return RewardBreakdown(
-        RewardBranch.FIDELITY, value, edge_f1=pair.edge_f1, perfect_match=bool(pair.exact_match)
-    )
+    return [scores[text] for text in texts]
 
 
 @dataclass(frozen=True)

@@ -283,6 +283,39 @@ def test_curate_cli_end_to_end(tmp_path):
     assert len(load_records(train)) == stats["train_size"]
 
 
+def test_curate_outputs_are_identical_across_jobs(tmp_path):
+    records, _ = build_dataset(LIB, {"Easy": 6}, seed=6)
+    dataset = tmp_path / "data.jsonl"
+    save_records(records, dataset)
+    cyclic = plan_text([("a", "t1"), ("b", "t2")], [("a", "b"), ("b", "a")])
+    disconnected = plan_text([("a", "t1"), ("b", "t2")], [])
+    entries = {}
+    for k, record in enumerate(records[:-1]):  # the last record has no rollouts: unprofiled
+        gold = serialize_plan(record.gold_plan)
+        partial = serialize_plan(make_plan([("x", record.gold_plan.nodes[0].tool)], []))
+        group = [gold, "nope", cyclic, disconnected, partial, gold, "nope", partial][k:] + [gold] * k
+        prompt = replan_prompt(record.query, record.candidate_tools)
+        entries.update((fixture_key(prompt, i), text) for i, text in enumerate(group))
+    cassette = tmp_path / "cassette.json"
+    save_cassette(entries, cassette)
+    expected = {score_plan(text, records[0].gold_plan).branch.value for text in entries.values()}
+    assert expected == {"syntax", "cycle", "connectivity", "fidelity"}
+
+    outputs = []
+    for jobs in (1, 2, 4):
+        out = tmp_path / f"kept-{jobs}.jsonl"
+        train, test = tmp_path / f"train-{jobs}.jsonl", tmp_path / f"test-{jobs}.jsonl"
+        assert main(["curate", "--dataset", str(dataset), "--fixture", str(cassette),
+                     "--rollouts", "8", "--jobs", str(jobs), "--seed", "3", "--out", str(out),
+                     "--train-out", str(train), "--test-out", str(test)]) == 0
+        outputs.append([p.read_bytes() for p in (out, train, test, tmp_path / f"kept-{jobs}.jsonl.stats.json")])
+    assert outputs[0] == outputs[1] == outputs[2]
+    stats = json.loads(outputs[0][3])
+    assert stats["unprofiled"] == 1
+    assert stats["histogram"] == {"2/8": 2, "3/8": 1, "4/8": 1, "5/8": 1}
+    assert [r.record_id for r in load_records(tmp_path / "kept-1.jsonl")] == [r.record_id for r in records[:5]]
+
+
 def test_client_settings_precedence(tmp_path, monkeypatch):
     import argparse
 
@@ -506,6 +539,29 @@ def test_malformed_cassette_or_bindings_exits_two(tmp_path, capsys, argv, name, 
     err = capsys.readouterr().err
     assert f"{name}: {message}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, name, text, message", [
+    (["gen", "--offline", "--library", "{file}"], "catalog.json", "[" * 100_000, "not valid JSON"),
+    (["gen", "--offline", "--library", "{file}"], "catalog.json", '{"tools": []}',
+     "top-level value is not an array"),
+    (["gen", "--offline", "--difficulty-config", "{file}"], "bands.json", '{"Easy": 5}',
+     'bands are objects of "candidates" and "required"'),
+    (["gen", "--offline", "--difficulty-config", "{file}"], "bands.json",
+     '{"Easy": {"candidates": [5, 4], "required": [1, 2]}}', "band ranges must be non-empty"),
+    (["gen", "--client-config", "{file}"], "client.json", "[1, 2]", "not an object of strings"),
+    (["gen", "--client-config", "{file}"], "client.json", '{"base_url": "http://x", "timeout": [1]}',
+     'a numeric "timeout"'),
+], ids=["catalog-deep-nesting", "catalog-object", "bands-number", "bands-empty-range",
+        "client-config-list", "client-config-timeout-list"])
+def test_malformed_catalog_or_config_exits_two(tmp_path, capsys, argv, name, text, message):
+    paths = {"file": write(tmp_path, name, text)}
+    argv = [arg.format(**paths) for arg in argv] + ["--counts", "Easy=1", "--out", str(tmp_path / "gen.jsonl")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{name}: " in err and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "gen.jsonl").exists()
 
 
 @pytest.mark.parametrize("doc, field", [

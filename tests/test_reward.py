@@ -10,6 +10,8 @@ import random
 import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dagplan import (
     CONNECTIVITY_PENALTY,
@@ -21,6 +23,7 @@ from dagplan import (
     RewardBranch,
     edge_f1,
     group_advantages,
+    score_group,
     score_plan,
     serialize_plan,
 )
@@ -91,6 +94,43 @@ def test_cyclic_gold_is_a_configuration_error():
     cyclic = make_plan([("a", "t1"), ("b", "t2")], [("a", "b"), ("b", "a")])
     with pytest.raises(InvalidGoldError):
         score_plan("{}", cyclic)
+
+
+# --- group scoring ----------------------------------------------------------------
+
+
+CYCLIC_TEXT = plan_text([("a", "t1"), ("b", "t2")], [("a", "b"), ("b", "a")])
+DISCONNECTED_TEXT = plan_text([("a", "t1"), ("b", "t2")], [])
+
+
+def candidate_pool(gold, rng):
+    """Texts that fire every branch: syntax, cycle, connectivity, exact and arbitrary plans."""
+    return ["garbage", CYCLIC_TEXT, DISCONNECTED_TEXT, serialize_plan(gold),
+            serialize_plan(random_any_plan(rng, min_nodes=1))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       picks=st.lists(st.one_of(st.integers(0, 4), st.text(max_size=12)), max_size=10))
+def test_score_group_equals_score_plan_per_text(seed, picks):
+    rng = random.Random(seed)
+    gold = random_gold(rng)
+    pool = candidate_pool(gold, rng)
+    # Repeats are equal but distinct string objects, as a client returns them.
+    texts = pool + ["".join(pool[p]) if isinstance(p, int) else p for p in picks]
+    rng.shuffle(texts)
+    group = score_group(texts, gold)
+    assert group == [score_plan(text, gold) for text in texts]
+    assert {b.branch for b in group} == set(RewardBranch)
+
+
+@settings(max_examples=40, deadline=None)
+@given(texts=st.lists(st.one_of(st.sampled_from(["garbage", CYCLIC_TEXT, DISCONNECTED_TEXT]),
+                                st.text(max_size=12)), max_size=6))
+def test_cyclic_gold_raises_for_any_group(texts):
+    cyclic = make_plan([("a", "t1"), ("b", "t2")], [("a", "b"), ("b", "a")])
+    with pytest.raises(InvalidGoldError):
+        score_group(texts, cyclic)
 
 
 # --- edge_f1 conventions -----------------------------------------------------
