@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
-from .plan import FormatError, decode_json
+from .plan import FormatError, decode_json, read_text
 
 PARAM_TYPES = ("string", "number", "boolean", "object", "array")
 
@@ -185,8 +185,9 @@ def _parse_tool(obj: Any, index: int) -> ToolSpec:
 def load_library(path: str | Path) -> ToolLibrary:
     """Load a catalog file, rejecting parse failures and duplicate ids."""
     path = Path(path)
+    text = read_text(path, MalformedCatalogError)
     try:
-        doc = decode_json(path.read_text(encoding="utf-8"), MalformedCatalogError)
+        doc = decode_json(text, MalformedCatalogError)
     except MalformedCatalogError as exc:
         raise MalformedCatalogError(f"{path}: {exc}") from None
     if not isinstance(doc, list):

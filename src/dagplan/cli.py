@@ -50,16 +50,12 @@ from .pipeline import (
     save_records,
 )
 from .plan import (FormatError, PlanSyntaxError, decode_json, parse_plan, plan_from_doc,
-                   read_json, to_dot, validate_text)
+                   read_json, read_lines, read_text, to_dot, validate_text)
 from .reward import score_plan
 
 
 def _err(message: str) -> None:
     print(f"dagplan: {message}", file=sys.stderr)
-
-
-def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
 
 
 def _write_json(path: str | Path, doc: Any) -> None:
@@ -145,7 +141,7 @@ def _parse_counts(spec: str) -> dict[str, int]:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    report = validate_text(_read_text(args.plan), self_loops=args.self_loop)
+    report = validate_text(read_text(args.plan), self_loops=args.self_loop)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     if not report.syntax_ok:
@@ -175,21 +171,20 @@ def _iter_plan_lines(path: str) -> Iterator[tuple[str | None, Any, str | None]]:
     with the object's "id" and no text.  Any other line is its own text, with no
     id and as plan its document, or the FormatError saying it is not JSON.
     """
-    with open(path, encoding="utf-8") as handle:
-        for number, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            try:
-                doc = decode_json(line)
-            except FormatError as exc:
-                doc = FormatError(f"{path} line {number}: {exc}")
-            if isinstance(doc, dict) and "candidate" in doc:
-                yield doc.get("id"), doc["candidate"], None
-            elif isinstance(doc, dict) and "gold_plan" in doc:
-                yield doc.get("id"), doc["gold_plan"], None
-            else:
-                yield None, doc, line
+    for number, line in enumerate(read_lines(path), 1):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        try:
+            doc = decode_json(line)
+        except FormatError as exc:
+            doc = FormatError(f"{path} line {number}: {exc}")
+        if isinstance(doc, dict) and "candidate" in doc:
+            yield doc.get("id"), doc["candidate"], None
+        elif isinstance(doc, dict) and "gold_plan" in doc:
+            yield doc.get("id"), doc["gold_plan"], None
+        else:
+            yield None, doc, line
 
 
 def _candidate_texts(path: str) -> Iterator[tuple[str | None, str]]:
@@ -358,7 +353,7 @@ def cmd_curate(args: argparse.Namespace) -> int:
 
 def cmd_exec(args: argparse.Namespace) -> int:
     try:
-        plan = parse_plan(_read_text(args.plan), self_loops=args.self_loop)
+        plan = parse_plan(read_text(args.plan), self_loops=args.self_loop)
     except PlanSyntaxError as exc:
         _err(f"cannot parse plan: {exc.reason}")
         return 2

@@ -15,6 +15,15 @@ before dependents start, and argument values of the form
 pure ordering constraint.  A node's ``wave`` is its static depth (the longest
 chain of predecessors above it), not the moment it ran.
 
+``preflight`` runs once per call, in memory linear in the plan and its
+references: Kahn's order (a cycle is searched for only when the order comes
+up short, so a plan that passed ``validate_graph`` is checked for cycles
+once), tool resolution, and one walk down from each node referenced by a node
+that is not its direct successor.  A node's args hold only dicts and
+lists (``PlanNode`` copies them so), so they are walked with concrete type
+checks; a field path into an upstream output also reads any other
+``collections.abc.Mapping`` a registry returns.
+
 Two failure policies: ``fail_fast`` starts no node after the first failure
 (nodes already in flight finish and keep their result; every other node is
 skipped); ``continue`` keeps running every node whose predecessors all
@@ -30,6 +39,7 @@ from __future__ import annotations
 
 import abc
 import collections
+import collections.abc
 import contextvars
 import hashlib
 import heapq
@@ -43,7 +53,7 @@ import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .catalog import ToolSpec
 from .clients import CompletionClient, http_request
@@ -87,6 +97,10 @@ class ToolRegistry(abc.ABC):
         raise NotImplementedError
 
 
+# Shared: ``json.dumps`` with these options would build an encoder per call.
+_DIGEST_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 class MockRegistry(ToolRegistry):
     """Deterministic simulated tools with configurable latency and failures.
 
@@ -101,23 +115,19 @@ class MockRegistry(ToolRegistry):
         fail: Sequence[str] = (),
     ):
         self._latency = latency
+        self._per_tool = isinstance(latency, collections.abc.Mapping)
         self._fail = frozenset(fail)
 
     def resolves(self, tool_id: str) -> bool:
         return True
 
-    def _delay(self, tool_id: str) -> float:
-        if isinstance(self._latency, Mapping):
-            return float(self._latency.get(tool_id, 0.0))
-        return float(self._latency)
-
     def invoke(self, tool_id: str, args: Mapping[str, Any]) -> Any:
-        delay = self._delay(tool_id)
+        delay = float(self._latency.get(tool_id, 0.0) if self._per_tool else self._latency)
         if delay > 0:
             time.sleep(delay)
         if tool_id in self._fail:
             raise ToolError(f"injected failure: {tool_id}")
-        material = json.dumps([tool_id, args], sort_keys=True, separators=(",", ":"))
+        material = _DIGEST_ENCODER.encode([tool_id, args])
         digest = hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
         return {"tool": tool_id, "digest": digest, "args": dict(args)}
 
@@ -191,35 +201,39 @@ class HttpRegistry(ToolRegistry):
 # --- argument references ------------------------------------------------------
 
 
-def _iter_reference_targets(value: Any) -> Iterator[str]:
-    """Yield the node id of every "$node.path" reference inside a value."""
-    if isinstance(value, str) and value.startswith("$") and not value.startswith("$$"):
-        yield value[1:].partition(".")[0]
-    elif isinstance(value, Mapping):
-        for v in value.values():
-            yield from _iter_reference_targets(v)
-    elif isinstance(value, list):
-        for v in value:
-            yield from _iter_reference_targets(v)
+def _reference_targets(args: dict | list, found: list[str]) -> list[str]:
+    """Append the node id of every "$node.path" reference inside args."""
+    for v in args.values() if isinstance(args, dict) else args:
+        if isinstance(v, str):
+            if v[:1] == "$" and v[:2] != "$$":
+                found.append(v[1:].partition(".")[0])
+        elif isinstance(v, (dict, list)):
+            _reference_targets(v, found)
+    return found
 
 
 def _resolve_value(value: Any, outputs: Mapping[str, Any]) -> Any:
-    if isinstance(value, str) and value.startswith("$"):
-        if value.startswith("$$"):
+    """A copy of an args value with every reference replaced by the upstream
+    output field it names and every ``$$`` escape unescaped."""
+    if isinstance(value, str):
+        if value[:1] != "$":
+            return value
+        if value[:2] == "$$":
             return value[1:]
-        target = value[1:]
-        node_id, _, path = target.partition(".")
+        node_id, _, path = value[1:].partition(".")
         current = outputs[node_id]
-        for part in path.split(".") if path else []:
-            if isinstance(current, Mapping) and part in current:
+        for part in path.split(".") if path else ():
+            if isinstance(current, dict) and part in current:
                 current = current[part]
             elif (isinstance(current, list) and part.lstrip("-").isdigit()
                   and -len(current) <= int(part) < len(current)):
                 current = current[int(part)]
+            elif isinstance(current, collections.abc.Mapping) and part in current:
+                current = current[part]
             else:
                 raise ToolError(f"reference {value!r}: no field {part!r} in upstream output")
         return current
-    if isinstance(value, Mapping):
+    if isinstance(value, dict):
         return {k: _resolve_value(v, outputs) for k, v in value.items()}
     if isinstance(value, list):
         return [_resolve_value(v, outputs) for v in value]
@@ -302,29 +316,33 @@ def count_waves(plan: PlanGraph) -> int:
     return max(_static_waves(plan, order).values()) + 1
 
 
-def _is_ancestor(plan: PlanGraph, target: str, nid: str, position: Mapping[str, int]) -> bool:
-    """Whether ``target`` is an ancestor of ``nid``, by a walk up from ``nid``
-    that visits only nodes after ``target`` in topological order."""
-    floor = position[target]
-    seen = {nid}
-    stack = [nid]
-    while stack:
-        for pred in plan.predecessors[stack.pop()]:
-            if pred == target:
-                return True
-            if position[pred] > floor and pred not in seen:
-                seen.add(pred)
-                stack.append(pred)
-    return False
+def _unreached(plan: PlanGraph, target: str, referrers: set[str], position: Mapping[str, int]) -> set[str]:
+    """The ``referrers`` that are not descendants of ``target``, by one walk down
+    from ``target`` through nodes no later in topological order than the last
+    referrer."""
+    bound = max(position[nid] for nid in referrers)
+    missing = set(referrers)
+    seen = {target}
+    stack = [target]
+    while stack and missing:
+        for succ in plan.successors[stack.pop()]:
+            if position[succ] <= bound and succ not in seen:
+                seen.add(succ)
+                missing.discard(succ)
+                stack.append(succ)
+    return missing
 
 
 def preflight(plan: PlanGraph, registry: ToolRegistry) -> list[str]:
     """Validate executability: acyclic, tools resolve, references well-formed.
 
-    A reference must name an ancestor of its node; checking it takes memory
-    linear in the plan.  Disconnected plans are executable (independent
-    components simply run side by side); rejecting them is the
-    planner-validation gate's job, not the runtime's — see run_end_to_end.
+    A reference must name an ancestor of its node.  A direct predecessor is
+    accepted at once; for every other referenced node one walk marks the
+    descendants it needs, so memory is linear in the plan and its references,
+    and so is time when many nodes reference one distant node.
+    Disconnected plans are executable (independent components simply run side
+    by side); rejecting them is the planner-validation gate's job, not the
+    runtime's — see run_end_to_end.
     """
     try:
         order = topo_order(plan)
@@ -334,17 +352,21 @@ def preflight(plan: PlanGraph, registry: ToolRegistry) -> list[str]:
     if unresolved:
         raise PreflightError(f"unresolved tools: {unresolved}")
     position = {nid: i for i, nid in enumerate(order)}
+    refs: list[tuple[str, str]] = []  # (node, referenced node), in plan order
+    far: dict[str, set[str]] = {}     # referenced node -> nodes it is not a direct predecessor of
     for node in plan.nodes:
-        for target in _iter_reference_targets(node.args):
-            if target not in position:
-                raise PreflightError(
-                    f"node {node.id!r} references unknown node {target!r}"
-                )
-            if (target not in plan.predecessors[node.id]
-                    and not _is_ancestor(plan, target, node.id, position)):
-                raise PreflightError(
-                    f"node {node.id!r} references {target!r}, which is not a predecessor"
-                )
+        if node.args:
+            for target in _reference_targets(node.args, []):
+                refs.append((node.id, target))
+                if target in position and target not in plan.predecessors[node.id]:
+                    far.setdefault(target, set()).add(node.id)
+    unreached = {(nid, target) for target, referrers in far.items()
+                 for nid in _unreached(plan, target, referrers, position)}
+    for nid, target in refs:
+        if target not in position:
+            raise PreflightError(f"node {nid!r} references unknown node {target!r}")
+        if (nid, target) in unreached:
+            raise PreflightError(f"node {nid!r} references {target!r}, which is not a predecessor")
     return order
 
 
@@ -433,7 +455,7 @@ def execute(
     state = threading.Condition(threading.Lock())  # guards the above; the caller waits on it
     results: dict[str, NodeResult] = {}
     outputs: dict[str, Any] = {}
-    halted = threading.Event()  # set by the first failure under fail_fast
+    halted = False  # set by the first failure under fail_fast
     context = contextvars.copy_context()
     started_at = time.perf_counter()
 
@@ -441,20 +463,20 @@ def execute(
         return NodeResult(nid, plan.node_index[nid].tool, wave_of[nid], "skipped")
 
     def run_node(nid: str) -> NodeResult:
+        nonlocal halted
         node = plan.node_index[nid]
         start = time.perf_counter()
         # Checked after taking ``start``, and set before taking ``finished``, so
         # no node's start is later than the first failure's finish.
-        if halted.is_set():
+        if halted:
             return skipped(nid)
         try:
-            args = _resolve_value(dict(node.args), outputs)
-            output = registry.invoke(node.tool, args)
+            output = registry.invoke(node.tool, _resolve_value(node.args, outputs))
             return NodeResult(nid, node.tool, wave_of[nid], "ok", output,
                               started=start, finished=time.perf_counter())
         except Exception as exc:  # an untrusted registry's failure is this node's failure
             if policy == "fail_fast":
-                halted.set()
+                halted = True
             error = str(exc) if isinstance(exc, ToolError) else f"{type(exc).__name__}: {exc}"
             return NodeResult(nid, node.tool, wave_of[nid], "failed", error=error,
                               started=start, finished=time.perf_counter())
@@ -473,7 +495,7 @@ def execute(
         ready or no slot is free; the caller and every helper run this with
         ``state`` held, and release it around each node."""
         nonlocal running, asked
-        while ready and running < slots and not halted.is_set():
+        while ready and running < slots and not halted:
             nid = order[heapq.heappop(ready)]
             if any(results[p].status != "ok" for p in plan.predecessors[nid]):
                 settle(nid, skipped(nid))
@@ -502,7 +524,7 @@ def execute(
     # so a plan executed from a tool on the pool cannot deadlock it.
     with state:
         work()
-        while running or (ready and not halted.is_set()):
+        while running or (ready and not halted):
             state.wait()
             work()
         if asked:

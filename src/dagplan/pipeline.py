@@ -36,6 +36,7 @@ from .plan import (
     plan_doc,
     plan_from_doc,
     read_json,
+    read_lines,
     serialize_plan,
     topo_order,
     validate_graph,
@@ -270,16 +271,15 @@ def save_records(records: Iterable[DatasetRecord], path: str | Path, *, append: 
 
 def iter_records(path: str | Path) -> Iterator[DatasetRecord]:
     """Read a JSONL dataset file; a FormatError names the 1-based line and the field."""
-    with open(path, encoding="utf-8") as handle:
-        for number, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = DatasetRecord.from_dict(decode_json(line))
-            except FormatError as exc:
-                raise FormatError(f"{path} line {number}: {exc}") from None
-            yield record
+    for number, line in enumerate(read_lines(path), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = DatasetRecord.from_dict(decode_json(line))
+        except FormatError as exc:
+            raise FormatError(f"{path} line {number}: {exc}") from None
+        yield record
 
 
 def load_records(path: str | Path) -> list[DatasetRecord]:

@@ -19,12 +19,14 @@ syntax failure.  Canonical serialization sorts nodes by id and edges by
 (from, to), so two graphs that are equal as node/edge sets serialize to
 byte-identical text.
 
-All types are immutable after construction and all functions but
-``read_json`` are pure.
+All types are immutable after construction and all functions but the
+``read_*`` file readers are pure.
 """
 
 from __future__ import annotations
 
+import collections.abc
+import heapq
 import json
 import math
 from dataclasses import dataclass, field
@@ -55,12 +57,20 @@ class PlanNode:
 
     Argument values are either literals or references of the form
     ``"$<node-id>.<field-path>"`` into a predecessor's output (resolved by the
-    executor; ignored by reward and metrics).
+    executor; ignored by reward and metrics).  The node keeps a deep copy of
+    ``args`` in which every mapping is a ``dict`` and every list a ``list``, so
+    it shares nothing mutable with the caller; args nested deeper than
+    ``MAX_ARGS_DEPTH`` levels raise PlanSyntaxError.
     """
 
     id: str
     tool: str
     args: Mapping[str, Any] = field(default_factory=dict)
+
+    def __init__(self, id: str, tool: str, args: Mapping[str, Any] | None = None):
+        # Writes the instance dict once, which costs less than the generated
+        # frozen __init__'s one object.__setattr__ per field.
+        self.__dict__.update(id=id, tool=tool, args=_copy_args(args, 1, id) if args else {})
 
 
 @dataclass(frozen=True)
@@ -259,22 +269,51 @@ def decode_json(text: str, error: type[ValueError] = FormatError) -> Any:
         raise error(f"not valid JSON: {exc}") from None
 
 
+def _not_utf8(path: str | Path, exc: UnicodeDecodeError, error: type[FormatError]) -> FormatError:
+    return error(f"{path}: not valid UTF-8 ({exc.reason}, byte 0x{exc.object[exc.start]:02x})")
+
+
+def read_text(path: str | Path, error: type[FormatError] = FormatError) -> str:
+    """The text of a UTF-8 file; ``error`` naming the file when it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc, error) from None
+
+
+def read_lines(path: str | Path) -> Iterator[str]:
+    """The lines of a UTF-8 file, read as they are consumed; a FormatError
+    names the file when it is not UTF-8."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            yield from handle
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc, FormatError) from None
+
+
 def read_json(path: str | Path) -> Any:
     """``decode_json`` of a UTF-8 file; a FormatError names the file."""
+    text = read_text(path)
     try:
-        return decode_json(Path(path).read_text(encoding="utf-8"))
+        return decode_json(text)
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from None
 
 
-def _copy_args(value: dict | list, level: int, nid: str) -> dict | list:
-    """A deep copy of a decoded JSON container at nesting ``level`` of node ``nid``'s args."""
-    if level > MAX_ARGS_DEPTH:
-        raise PlanSyntaxError(f"node {nid!r} args nest deeper than {MAX_ARGS_DEPTH} levels")
-    if isinstance(value, dict):
-        return {k: _copy_args(v, level + 1, nid) if isinstance(v, (dict, list)) else v
+_SCALARS = (str, int, float, type(None))
+
+
+def _copy_args(value: Any, level: int, nid: str) -> Any:
+    """A deep copy of a value at nesting ``level`` of node ``nid``'s args:
+    mappings and lists are rebuilt as ``dict`` and ``list``, other values kept."""
+    if isinstance(value, (dict, collections.abc.Mapping, list)):
+        if level > MAX_ARGS_DEPTH:
+            raise PlanSyntaxError(f"node {nid!r} args nest deeper than {MAX_ARGS_DEPTH} levels")
+        if isinstance(value, list):
+            return [v if isinstance(v, _SCALARS) else _copy_args(v, level + 1, nid) for v in value]
+        return {k: v if isinstance(v, _SCALARS) else _copy_args(v, level + 1, nid)
                 for k, v in value.items()}
-    return [_copy_args(v, level + 1, nid) if isinstance(v, (dict, list)) else v for v in value]
+    return value
 
 
 def parse_plan(text: str, *, self_loops: str = "reject") -> PlanGraph:
@@ -320,7 +359,7 @@ def plan_from_doc(doc: Any, *, self_loops: str = "reject") -> PlanGraph:
             raise PlanSyntaxError(f"node {nid!r} has no usable tool")
         if not isinstance(args, dict):
             raise PlanSyntaxError(f"node {nid!r} args is not an object")
-        nodes.append(PlanNode(nid, tool, _copy_args(args, 1, nid) if args else {}))
+        nodes.append(PlanNode(nid, tool, args))
 
     pairs: dict[tuple[str, str], None] = {}
     for i, obj in enumerate(raw_edges):
@@ -440,15 +479,12 @@ def check_connectivity(g: PlanGraph) -> tuple[bool, list[str]]:
 
 
 def topo_order(g: PlanGraph) -> list[str]:
-    """Deterministic topological order, ties broken by ascending node id.
+    """Deterministic topological order (Kahn's algorithm), ties broken by
+    ascending node id.
 
-    Raises CycleError (carrying a witness) when the plan is cyclic.
+    Raises CycleError carrying ``detect_cycle``'s witness when the plan is
+    cyclic; only then does it search for a cycle.
     """
-    cycle = detect_cycle(g)
-    if cycle is not None:
-        raise CycleError(cycle)
-    import heapq
-
     indegree = {n.id: len(g.predecessors[n.id]) for n in g.nodes}
     ready = [nid for nid, d in indegree.items() if d == 0]
     heapq.heapify(ready)
@@ -460,6 +496,8 @@ def topo_order(g: PlanGraph) -> list[str]:
             indegree[nxt] -= 1
             if indegree[nxt] == 0:
                 heapq.heappush(ready, nxt)
+    if len(order) < len(indegree):
+        raise CycleError(detect_cycle(g))
     return order
 
 

@@ -579,3 +579,34 @@ def test_report_with_mistyped_section_exits_two_naming_the_field(tmp_path, capsy
     out, err = capsys.readouterr()
     assert field in err
     assert out == ""
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["gen", "--offline", "--library", "{file}", "--counts", "Easy=1", "--out", "{tmp}/gen.jsonl"],
+     "catalog.json"),
+    (["gen", "--offline", "--difficulty-config", "{file}", "--counts", "Easy=1", "--out", "{tmp}/gen.jsonl"],
+     "bands.json"),
+    (["gen", "--client-config", "{file}", "--counts", "Easy=1", "--out", "{tmp}/gen.jsonl"], "client.json"),
+    (["eval", "--predictions", "{preds}", "--dataset", "{file}"], "data.jsonl"),
+    (["eval", "--predictions", "{file}", "--dataset", "{data}"], "preds.jsonl"),
+    (["score", "--candidates", "{file}", "--golds", "{data}"], "cands.jsonl"),
+    (["score", "--candidates", "{preds}", "--golds", "{file}"], "golds.jsonl"),
+    (["run", "--query", "q", "--fixture", "{file}"], "cassette.json"),
+    (["exec", "--plan", "{plan}", "--registry", "{file}"], "bindings.json"),
+    (["exec", "--plan", "{file}"], "plan.json"),
+    (["validate", "{file}"], "plan.json"),
+    (["report", "{file}"], "summary.json"),
+], ids=["catalog", "bands", "client-config", "dataset", "predictions", "candidates", "golds",
+        "cassette", "bindings", "exec-plan", "validate-plan", "summary"])
+def test_input_file_that_is_not_utf8_exits_two_naming_the_file(tmp_path, capsys, argv, name):
+    records, _ = build_dataset(LIB, {"Easy": 1}, seed=5)
+    save_records(records, tmp_path / "data.jsonl")
+    file = tmp_path / name
+    file.write_bytes(b"\xff\xfe" + '{"a": 1}\n'.encode("utf-16-le"))
+    paths = {"tmp": tmp_path, "data": tmp_path / "data.jsonl", "file": file,
+             "preds": write(tmp_path, "ok-preds.jsonl", json.dumps({"id": "x", "candidate": VALID}) + "\n"),
+             "plan": write(tmp_path, "ok-plan.json", VALID)}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert f"{file}: not valid UTF-8 (invalid start byte, byte 0xff)" in err
+    assert "Traceback" not in err

@@ -502,6 +502,54 @@ def test_references_are_checked_against_ancestors_across_branches():
         preflight(sibling, MockRegistry())
 
 
+def test_preflight_is_linear_when_every_node_references_a_distant_root():
+    n = 3000
+    plan = make_plan(
+        [(f"n{i}", f"t{i}", {"root": "$n0.digest"} if i else {}) for i in range(n)],
+        [(f"n{i}", f"n{i + 1}") for i in range(n - 1)],
+    )
+    start = time.perf_counter()
+    order = preflight(plan, MockRegistry())
+    assert time.perf_counter() - start < 0.1
+    assert len(order) == n
+    # A sibling of the referenced node is still rejected in the same plan shape.
+    sibling = make_plan(
+        [(f"n{i}", f"t{i}", {"root": "$n0.digest"} if i else {}) for i in range(n)]
+        + [("side", "tside", {"x": "$n1.digest"})],
+        [(f"n{i}", f"n{i + 1}") for i in range(n - 1)] + [("n0", "side")],
+    )
+    with pytest.raises(PreflightError, match="'side' references 'n1', which is not a predecessor"):
+        preflight(sibling, MockRegistry())
+
+
+def test_references_read_fields_of_any_mapping_a_registry_returns():
+    from types import MappingProxyType
+
+    class ProxyRegistry(ToolRegistry):
+        def resolves(self, tool_id):
+            return True
+
+        def invoke(self, tool_id, args):
+            return MappingProxyType({"inner": MappingProxyType({"v": [tool_id]}), "args": dict(args)})
+
+    plan = make_plan([("a", "t1"), ("b", "t2", {"x": "$a.inner.v.0", "y": ["$a.inner", "$$a"]})],
+                     [("a", "b")])
+    trace = execute(plan, ProxyRegistry())
+    assert trace.nodes["b"].output["args"] == {"x": "t1", "y": [{"v": ["t1"]}, "$a"]}
+
+
+def test_run_end_to_end_checks_for_cycles_once(monkeypatch):
+    import dagplan.plan
+
+    calls = []
+    detect_cycle = dagplan.plan.detect_cycle
+    monkeypatch.setattr(dagplan.plan, "detect_cycle", lambda g: calls.append(g) or detect_cycle(g))
+    planner = ScriptedClient([serialize_plan(DIAMOND)])
+    _, trace = run_end_to_end("q", ["t1", "t2", "t3", "t4"], planner, MockRegistry())
+    assert trace.ok()
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("workers", [0, -1])
 def test_max_workers_below_one_is_a_value_error(workers):
     with pytest.raises(ValueError, match="max_workers must be at least 1"):

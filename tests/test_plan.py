@@ -383,3 +383,23 @@ def test_args_nested_past_the_limit_are_a_syntax_failure(container):
         with pytest.raises(PlanSyntaxError, match="nest deeper"):
             parse_plan(text)
         assert validate_text(text).failed_check == "syntax"
+
+
+def test_plan_node_keeps_its_own_copy_of_args():
+    args = {"x": [1, {"k": "v"}], "ref": "$a.digest"}
+    g = make_plan([("a", "t1"), ("b", "t2", args)], [("a", "b")])
+    before = serialize_plan(g)
+    args["x"][1]["k"] = "changed"
+    args["x"].append(2)
+    args["new"] = True
+    assert serialize_plan(g) == before
+
+
+def test_plan_node_args_nested_past_the_limit_raise():
+    from dagplan.plan import MAX_ARGS_DEPTH
+
+    value = 0
+    for _ in range(MAX_ARGS_DEPTH):
+        value = [value]
+    with pytest.raises(PlanSyntaxError, match="nest deeper"):
+        PlanNode("a", "t1", {"x": value})

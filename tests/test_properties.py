@@ -1,0 +1,113 @@
+"""Properties of the structural checks over random graphs, cyclic or not.
+
+``topo_order`` is compared with a Kahn's algorithm written here, and
+``preflight``'s reference check with ancestor sets computed here by a walk up
+the test's own edge list.
+"""
+
+from __future__ import annotations
+
+import heapq
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dagplan import CycleError, MockRegistry, PlanEdge, PlanGraph, PlanNode, detect_cycle, topo_order
+from dagplan.executor import PreflightError, preflight
+
+MAX_NODES = 8
+
+
+@st.composite
+def edge_lists(draw, acyclic: bool) -> tuple[int, list[tuple[int, int]]]:
+    """A node count and directed edges between distinct nodes; with ``acyclic``,
+    every edge goes from a lower to a higher index."""
+    n = draw(st.integers(1, MAX_NODES))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3 * n, unique=True))
+    return n, [(a, b) for a, b in pairs if (a < b if acyclic else a != b)]
+
+
+def node_id(i: int) -> str:
+    # Index order differs from id order, so ties are not broken by index.
+    return f"n{(i * 5) % MAX_NODES}{i}"
+
+
+def build(n: int, edges, args=None) -> PlanGraph:
+    args = args or {}
+    nodes = tuple(PlanNode(node_id(i), f"t{i}", args.get(i, {})) for i in range(n))
+    return PlanGraph(nodes, tuple(PlanEdge(node_id(a), node_id(b)) for a, b in edges))
+
+
+def reference_kahn(n: int, edges) -> list[str] | None:
+    """Kahn's algorithm with a heap of ids; None when some node is never freed."""
+    indegree = {node_id(i): 0 for i in range(n)}
+    out = {node_id(i): [] for i in range(n)}
+    for a, b in edges:
+        out[node_id(a)].append(node_id(b))
+        indegree[node_id(b)] += 1
+    ready = [nid for nid, d in indegree.items() if d == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        nid = heapq.heappop(ready)
+        order.append(nid)
+        for nxt in out[nid]:
+            indegree[nxt] -= 1
+            if not indegree[nxt]:
+                heapq.heappush(ready, nxt)
+    return order if len(order) == n else None
+
+
+def ancestors(n: int, edges, i: int) -> set[int]:
+    found: set[int] = set()
+    stack = [i]
+    while stack:
+        j = stack.pop()
+        for a, b in edges:
+            if b == j and a not in found:
+                found.add(a)
+                stack.append(a)
+    return found
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.booleans().flatmap(edge_lists))
+def test_topo_order_is_kahn_or_a_cycle_error_with_detect_cycles_witness(graph):
+    n, edges = graph
+    g = build(n, edges)
+    expected = reference_kahn(n, edges)
+    if expected is not None:
+        assert topo_order(g) == expected
+    else:
+        with pytest.raises(CycleError) as err:
+            topo_order(g)
+        assert err.value.cycle == detect_cycle(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.booleans().flatmap(edge_lists), st.data())
+def test_preflight_accepts_a_reference_exactly_when_it_names_an_ancestor(graph, data):
+    n, edges = graph
+    refs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4))
+    args: dict[int, dict] = {}
+    for k, (i, target) in enumerate(refs):
+        args.setdefault(i, {})[f"in{k}"] = f"${node_id(target)}.digest"
+    g = build(n, edges, args)
+    if reference_kahn(n, edges) is None:
+        with pytest.raises(PreflightError, match="invalid plan: plan contains a cycle: "
+                           + " -> ".join(detect_cycle(g))):
+            preflight(g, MockRegistry())
+        return
+    # The first bad reference in node order, then in args order.
+    bad = [(i, target) for i in range(n) for j, target in refs
+           if j == i and target not in ancestors(n, edges, i)]
+    if not bad:
+        assert preflight(g, MockRegistry()) == reference_kahn(n, edges)
+    else:
+        i, target = bad[0]
+        with pytest.raises(PreflightError) as err:
+            preflight(g, MockRegistry())
+        assert str(err.value) == (f"node {node_id(i)!r} references {node_id(target)!r}, "
+                                  "which is not a predecessor")
