@@ -31,7 +31,7 @@ class MalformedCatalogError(FormatError):
     """The catalog file cannot be read as the documented format."""
 
 
-class DuplicateToolIdError(ValueError):
+class DuplicateToolIdError(MalformedCatalogError):
     """Two tools in one catalog share an id."""
 
     def __init__(self, tool_id: str):

@@ -34,7 +34,6 @@ from .executor import (
     HttpRegistry,
     MockRegistry,
     PlanRejectedError,
-    PreflightError,
     ToolRegistry,
     execute,
     run_end_to_end,
@@ -52,6 +51,10 @@ from .pipeline import (
 from .plan import (FormatError, PlanSyntaxError, decode_json, parse_plan, plan_from_doc,
                    read_json, read_lines, read_text, to_dot, validate_text)
 from .reward import score_plan
+
+
+class UsageError(Exception):
+    """A command cannot act on the arguments it was given; ``main`` exits 2."""
 
 
 def _err(message: str) -> None:
@@ -130,10 +133,13 @@ def _parse_counts(spec: str) -> dict[str, int]:
         name, _, value = part.partition("=")
         name = name.strip().capitalize()
         if name not in DIFFICULTIES:
-            raise ValueError(f"unknown difficulty {name!r} in --counts")
-        counts[name] = int(value)
+            raise UsageError(f"unknown difficulty {name!r} in --counts")
+        try:
+            counts[name] = int(value)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     if not counts:
-        raise ValueError("--counts is empty")
+        raise UsageError("--counts is empty")
     return counts
 
 
@@ -199,8 +205,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     candidates = list(_candidate_texts(args.candidates))
     golds = list(_iter_plan_lines(args.golds))
     if len(candidates) != len(golds):
-        _err(f"{len(candidates)} candidates vs {len(golds)} golds; counts must match")
-        return 2
+        raise UsageError(f"{len(candidates)} candidates vs {len(golds)} golds; counts must match")
     rows = []
     histogram: Counter[str] = Counter()
     for (cand_id, text), (gold_id, plan, _) in zip(candidates, golds):
@@ -247,8 +252,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     predictions: dict[str, str] = {}
     for pred_id, text in _candidate_texts(args.predictions):
         if pred_id is None:
-            _err("eval predictions must be JSONL objects with an 'id' field")
-            return 2
+            raise UsageError("eval predictions must be JSONL objects with an 'id' field")
         if not isinstance(pred_id, str):
             raise FormatError(f'{args.predictions}: a prediction "id" is not a string')
         predictions[pred_id] = text
@@ -274,16 +278,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    try:
-        counts = _parse_counts(args.counts)
-    except ValueError as exc:
-        _err(str(exc))
-        return 2
+    counts = _parse_counts(args.counts)
     client = _resolve_client(args)
     if client is None and not args.offline:
-        _err("no client configured; pass --offline for local generation, "
-             "--fixture for replay, or a base URL")
-        return 2
+        raise UsageError("no client configured; pass --offline for local generation, "
+                         "--fixture for replay, or a base URL")
     library = _resolve_library(args)
     config = DifficultyConfig.from_file(args.difficulty_config) if args.difficulty_config else DifficultyConfig()
     records, stats = build_dataset(
@@ -323,8 +322,7 @@ def cmd_curate(args: argparse.Namespace) -> int:
     records = load_records(args.dataset)
     planner = _resolve_client(args)
     if planner is None:
-        _err("curation needs a planner: pass --fixture or client settings")
-        return 2
+        raise UsageError("curation needs a planner: pass --fixture or client settings")
     kept, stats = curate(
         records, planner, args.rollouts, (args.low, args.high),
         jobs=args.jobs,
@@ -355,14 +353,8 @@ def cmd_exec(args: argparse.Namespace) -> int:
     try:
         plan = parse_plan(read_text(args.plan), self_loops=args.self_loop)
     except PlanSyntaxError as exc:
-        _err(f"cannot parse plan: {exc.reason}")
-        return 2
-    registry = _resolve_registry(args)
-    try:
-        trace = execute(plan, registry, args.policy, max_workers=args.jobs)
-    except PreflightError as exc:
-        _err(str(exc))
-        return 1
+        raise FormatError(f"cannot parse plan: {exc.reason}") from None
+    trace = execute(plan, _resolve_registry(args), args.policy, max_workers=args.jobs)
     for nid, result in trace.nodes.items():
         line = f"wave {result.wave}  {result.status:<8} {nid} ({result.tool})"
         if result.error:
@@ -384,8 +376,7 @@ def cmd_exec(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     planner = _resolve_client(args)
     if planner is None:
-        _err("run needs a planner: pass --fixture or client settings")
-        return 2
+        raise UsageError("run needs a planner: pass --fixture or client settings")
     library = _resolve_library(args)
     if args.candidates:
         candidate_ids = [t for t in args.candidates.split(",") if t]
@@ -394,8 +385,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         specs = library.subset(candidate_ids)
     except KeyError as exc:
-        _err(str(exc))
-        return 2
+        raise UsageError(str(exc)) from None
     registry = _resolve_registry(args)
     synthesizer = planner if args.synthesize else None
     try:
@@ -406,9 +396,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     except PlanRejectedError as exc:
         _err(f"plan rejected ({exc.branch.value}): {exc.reason}")
         print(exc.raw_text, file=sys.stderr)
-        return 1
-    except (PreflightError, ClientError) as exc:
-        _err(str(exc))
         return 1
     print(answer)
     print(
@@ -476,20 +463,6 @@ def cmd_report(args: argparse.Namespace) -> int:
 # --- parser ---------------------------------------------------------------
 
 
-def _add_client_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--offline", action="store_true", help="no model calls; local/offline modes")
-    p.add_argument("--fixture", help="replay cassette file for model calls")
-    p.add_argument("--client-config", help="JSON client config file")
-    p.add_argument("--base-url", help="chat-completion endpoint base URL")
-    p.add_argument("--model", help="model name sent to the endpoint")
-
-
-def _add_library_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--library", help="tool catalog file (JSON array)")
-    p.add_argument("--synth-tools", type=int, default=120,
-                   help="size of the synthetic library when no catalog is given")
-
-
 def _int_at_least(low: int):
     """argparse type: an int no smaller than ``low``; anything else is a usage error."""
     def convert(text: str) -> int:
@@ -508,28 +481,48 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"dagplan {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="structurally check one plan file")
+    # Options that several subcommands share, each declared once and taken as parents.
+    self_loop = argparse.ArgumentParser(add_help=False)
+    self_loop.add_argument("--self-loop", choices=("reject", "cycle"), default="reject")
+    library = argparse.ArgumentParser(add_help=False)
+    library.add_argument("--library", help="tool catalog file (JSON array)")
+    library.add_argument("--synth-tools", type=int, default=120,
+                         help="size of the synthetic library when no catalog is given")
+    client = argparse.ArgumentParser(add_help=False)
+    client.add_argument("--offline", action="store_true", help="no model calls; local/offline modes")
+    client.add_argument("--fixture", help="replay cassette file for model calls")
+    client.add_argument("--client-config", help="JSON client config file")
+    client.add_argument("--base-url", help="chat-completion endpoint base URL")
+    client.add_argument("--model", help="model name sent to the endpoint")
+    execution = argparse.ArgumentParser(add_help=False)
+    execution.add_argument("--registry", help="HTTP registry bindings file; mock registry otherwise")
+    execution.add_argument("--latency", type=float, default=0.0, help="mock tool latency (seconds)")
+    execution.add_argument("--fail", default="", help="comma-separated tool ids the mock fails")
+    execution.add_argument("--policy", choices=("fail_fast", "continue"), default="fail_fast")
+    execution.add_argument("--jobs", type=_int_at_least(1), default=None,
+                           help="cap on nodes in flight (default and maximum: 32)")
+    execution.add_argument("--trace-out")
+
+    p = sub.add_parser("validate", parents=[self_loop], help="structurally check one plan file")
     p.add_argument("plan")
     p.add_argument("--json", action="store_true", help="machine-readable report")
     p.add_argument("--dot", help="write a DOT rendering here")
-    p.add_argument("--self-loop", choices=("reject", "cycle"), default="reject", dest="self_loop")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("score", help="hierarchical reward for candidate/gold streams")
+    p = sub.add_parser("score", parents=[self_loop],
+                       help="hierarchical reward for candidate/gold streams")
     p.add_argument("--candidates", required=True)
     p.add_argument("--golds", required=True)
     p.add_argument("--out")
-    p.add_argument("--self-loop", choices=("reject", "cycle"), default="reject", dest="self_loop")
     p.set_defaults(func=cmd_score)
 
-    p = sub.add_parser("eval", help="planning-quality metrics table")
+    p = sub.add_parser("eval", parents=[self_loop], help="planning-quality metrics table")
     p.add_argument("--predictions", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--out")
-    p.add_argument("--self-loop", choices=("reject", "cycle"), default="reject", dest="self_loop")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("gen", help="build a benchmark dataset")
+    p = sub.add_parser("gen", parents=[library, client], help="build a benchmark dataset")
     p.add_argument("--out", required=True)
     p.add_argument("--counts", default="Easy=10,Medium=10,Hard=10",
                    help='per-difficulty record counts, e.g. "Easy=100,Hard=50"')
@@ -540,11 +533,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--resume", action="store_true",
                    help="append records whose ids are not already in --out")
-    _add_library_options(p)
-    _add_client_options(p)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("curate", help="rollout-variance filter + train/test split")
+    p = sub.add_parser("curate", parents=[client], help="rollout-variance filter + train/test split")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--rollouts", type=_int_at_least(2), default=5)
@@ -555,37 +546,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-out")
     p.add_argument("--test-out")
     p.add_argument("--jobs", type=_int_at_least(1), default=1)
-    _add_client_options(p)
     p.set_defaults(func=cmd_curate)
 
-    p = sub.add_parser("exec", help="execute a plan file over a tool registry")
+    p = sub.add_parser("exec", parents=[execution, self_loop],
+                       help="execute a plan file over a tool registry")
     p.add_argument("--plan", required=True)
-    p.add_argument("--registry", help="HTTP registry bindings file; mock registry otherwise")
-    p.add_argument("--latency", type=float, default=0.0, help="mock tool latency (seconds)")
-    p.add_argument("--fail", default="", help="comma-separated tool ids the mock fails")
-    p.add_argument("--policy", choices=("fail_fast", "continue"), default="fail_fast")
-    p.add_argument("--jobs", type=_int_at_least(1), default=None,
-                   help="cap on nodes in flight (default and maximum: 32)")
-    p.add_argument("--trace-out")
     p.add_argument("--dot", help="write wave-annotated DOT here")
-    p.add_argument("--self-loop", choices=("reject", "cycle"), default="reject", dest="self_loop")
     p.set_defaults(func=cmd_exec)
 
-    p = sub.add_parser("run", help="query -> plan -> execute -> answer")
+    p = sub.add_parser("run", parents=[execution, self_loop, library, client],
+                       help="query -> plan -> execute -> answer")
     p.add_argument("--query", required=True)
     p.add_argument("--candidates", help="comma-separated tool ids offered to the planner")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--registry")
-    p.add_argument("--latency", type=float, default=0.0)
-    p.add_argument("--fail", default="")
-    p.add_argument("--policy", choices=("fail_fast", "continue"), default="fail_fast")
-    p.add_argument("--jobs", type=_int_at_least(1), default=None)
     p.add_argument("--synthesize", action="store_true",
                    help="compose the final answer with a synthesizer call")
-    p.add_argument("--trace-out")
-    p.add_argument("--self-loop", choices=("reject", "cycle"), default="reject", dest="self_loop")
-    _add_library_options(p)
-    _add_client_options(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("report", help="pretty-print a summary/stats document")
@@ -596,11 +571,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; the one place a raised error becomes an exit code:
+    usage, format and OS errors exit 2, other ValueErrors and ClientError 1."""
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError, FormatError) as exc:
+    except (OSError, FormatError, UsageError) as exc:
         _err(str(exc))
         return 2
     except (ValueError, ClientError) as exc:

@@ -19,7 +19,7 @@ import urllib.request
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .plan import FormatError, read_json
+from .plan import FormatError, decode_json, read_json
 
 
 class ClientError(RuntimeError):
@@ -122,8 +122,8 @@ class HttpCompletionClient(CompletionClient):
             error=ClientError, label=url,
         )
         try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+            doc = decode_json(text)
+        except FormatError as exc:
             raise ClientError(f"non-JSON response from {url}") from exc
         return self._extract(doc)
 

@@ -59,8 +59,8 @@ from .catalog import ToolSpec
 from .clients import CompletionClient, http_request
 # check_connectivity, detect_cycle and parse_plan stay bound for perfbench's traced runs.
 from .plan import (  # noqa: F401
-    CycleError, FormatError, PlanGraph, check_connectivity, detect_cycle, parse_plan, read_json,
-    to_dot, topo_order, validate_text,
+    CycleError, FormatError, PlanGraph, check_connectivity, decode_json, detect_cycle, parse_plan,
+    read_json, to_dot, topo_order, validate_text,
 )
 from .prompts import replan_prompt, synthesis_prompt
 from .reward import RewardBranch
@@ -193,8 +193,8 @@ class HttpRegistry(ToolRegistry):
             error=ToolError, label=tool_id,
         )
         try:
-            return json.loads(body)
-        except json.JSONDecodeError:
+            return decode_json(body)
+        except FormatError:
             return {"text": body}
 
 

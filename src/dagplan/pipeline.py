@@ -549,45 +549,35 @@ def _build_one(
         except AuthorExhaustedError:
             local.author_failures += 1
             continue
-        if client is None:
-            record = DatasetRecord(
-                record_id=f"{difficulty.lower()}-{index:05d}",
-                query=offline_query(plan, library),
-                candidate_tools=tuple(candidate_tools),
-                gold_plan=plan,
-                difficulty=difficulty,
-                provenance=Provenance(generator="local:layered/v1"),
-            )
-            return record, local
         try:
             query = reverse_engineer_query(plan, library, client)
-            outcome = replan_and_filter(
+            outcome = None if client is None else replan_and_filter(
                 query, library.subset(candidate_tools), plan, client, mode,
                 threshold=threshold,
             )
         except (ClientError, EmptyResponseError):
             local.client_errors += 1
             continue
-        if not outcome.accepted:
+        if outcome is None:
+            provenance = Provenance(generator="local:layered/v1")
+        elif outcome.accepted:
+            plan = outcome.final_plan
+            provenance = Provenance(generator=f"teacher:{client.model_name}",
+                                    teacher_model=client.model_name, replan_agreed=True)
+        else:
             if outcome.replan is None:
                 local.unparseable_replans += 1
             else:
                 local.rejected_replans += 1
             continue
-        assert outcome.final_plan is not None
-        record = DatasetRecord(
+        return DatasetRecord(
             record_id=f"{difficulty.lower()}-{index:05d}",
             query=query,
             candidate_tools=tuple(candidate_tools),
-            gold_plan=outcome.final_plan,
+            gold_plan=plan,
             difficulty=difficulty,
-            provenance=Provenance(
-                generator=f"teacher:{client.model_name}",
-                teacher_model=client.model_name,
-                replan_agreed=True,
-            ),
-        )
-        return record, local
+            provenance=provenance,
+        ), local
     return None, local
 
 

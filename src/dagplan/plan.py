@@ -425,19 +425,18 @@ def detect_cycle(g: PlanGraph) -> list[str] | None:
             continue
         state[start] = 1
         path = [start]
-        on_path = {start}
         stack: list[tuple[str, Iterator[str]]] = [(start, iter(succ[start]))]
         while stack:
             node, neighbors = stack[-1]
             advanced = False
             for nxt in neighbors:
-                if state.get(nxt) == 2:
+                seen = state.get(nxt)
+                if seen == 2:
                     continue
-                if nxt in on_path:
+                if seen == 1:
                     return path[path.index(nxt):] + [nxt]
                 state[nxt] = 1
                 path.append(nxt)
-                on_path.add(nxt)
                 stack.append((nxt, iter(succ[nxt])))
                 advanced = True
                 break
@@ -445,7 +444,6 @@ def detect_cycle(g: PlanGraph) -> list[str] | None:
                 stack.pop()
                 state[node] = 2
                 path.pop()
-                on_path.discard(node)
     return None
 
 
@@ -459,14 +457,11 @@ def check_connectivity(g: PlanGraph) -> tuple[bool, list[str]]:
     ids = [n.id for n in g.nodes]
     if len(ids) <= 1:
         return True, []
-    degree = {nid: 0 for nid in ids}
     undirected: dict[str, set[str]] = {nid: set() for nid in ids}
     for e in g.edges:
         undirected[e.src].add(e.dst)
         undirected[e.dst].add(e.src)
-        degree[e.src] += 1
-        degree[e.dst] += 1
-    isolated = sorted(nid for nid in ids if degree[nid] == 0)
+    isolated = sorted(nid for nid in ids if not undirected[nid])
     seen = {ids[0]}
     frontier = [ids[0]]
     while frontier:

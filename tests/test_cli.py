@@ -610,3 +610,92 @@ def test_input_file_that_is_not_utf8_exits_two_naming_the_file(tmp_path, capsys,
     err = capsys.readouterr().err
     assert f"{file}: not valid UTF-8 (invalid start byte, byte 0xff)" in err
     assert "Traceback" not in err
+
+
+# --- exit codes of paths the tests above do not reach -----------------------------
+
+
+def test_validate_disconnected_plan_names_the_isolated_node(tmp_path, capsys):
+    plan_file = write(tmp_path, "plan.json", plan_text([("a", "t1"), ("b", "t2"), ("c", "t3")],
+                                                       [("a", "b")]))
+    assert main(["validate", plan_file]) == 1
+    assert capsys.readouterr().out == "disconnected (c)\n"
+
+
+def test_eval_prediction_without_id_is_usage_error(tmp_path, capsys):
+    dataset = write(tmp_path, "data.jsonl", _record_line() + "\n")
+    predictions = write(tmp_path, "preds.jsonl", VALID + "\n")
+    assert main(["eval", "--predictions", predictions, "--dataset", dataset]) == 2
+    assert capsys.readouterr().err == (
+        "dagplan: eval predictions must be JSONL objects with an 'id' field\n")
+
+
+def test_gen_counts_that_are_not_integers_are_usage_errors(tmp_path, capsys):
+    assert main(["gen", "--offline", "--counts", "Easy=abc",
+                 "--out", str(tmp_path / "x.jsonl")]) == 2
+    assert capsys.readouterr().err == "dagplan: invalid literal for int() with base 10: 'abc'\n"
+    assert not (tmp_path / "x.jsonl").exists()
+
+
+def test_gen_catalog_with_duplicate_tool_id_exits_two(tmp_path, capsys):
+    tool = {"id": "cat0.tool0", "name": "t", "description": "d"}
+    library = write(tmp_path, "dup.json", json.dumps([tool, tool]))
+    assert main(["gen", "--offline", "--library", library, "--counts", "Easy=1",
+                 "--out", str(tmp_path / "x.jsonl")]) == 2
+    assert capsys.readouterr().err == "dagplan: duplicate tool id 'cat0.tool0'\n"
+
+
+RUN_TOOLS = ["cat0.tool0", "cat0.tool1", "cat0.tool2"]
+
+
+def run_cassette(tmp_path, plan_json: str, query: str = "merge the reports") -> str:
+    """A cassette answering ``query`` over RUN_TOOLS with ``plan_json``."""
+    cassette = tmp_path / "cassette.json"
+    save_cassette({fixture_key(replan_prompt(query, LIB.subset(RUN_TOOLS))): plan_json}, cassette)
+    return str(cassette)
+
+
+def test_run_without_planner_is_usage_error(monkeypatch, capsys):
+    monkeypatch.delenv("DAGPLAN_BASE_URL", raising=False)
+    assert main(["run", "--query", "q"]) == 2
+    assert capsys.readouterr().err == (
+        "dagplan: run needs a planner: pass --fixture or client settings\n")
+
+
+def test_run_with_unknown_candidate_is_usage_error(tmp_path, capsys):
+    cassette = run_cassette(tmp_path, VALID)
+    assert main(["run", "--query", "q", "--candidates", "nope.tool", "--fixture", cassette]) == 2
+    assert "no tool with id 'nope.tool'" in capsys.readouterr().err
+
+
+def test_run_plan_that_fails_preflight_exits_one(tmp_path, capsys):
+    plan = plan_text([("a", RUN_TOOLS[0]), ("b", RUN_TOOLS[1], {"bad": "$c.digest"}),
+                      ("c", RUN_TOOLS[2])], [("a", "b"), ("a", "c")])
+    assert main(["run", "--query", "merge the reports", "--candidates", ",".join(RUN_TOOLS),
+                 "--fixture", run_cassette(tmp_path, plan)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("dagplan: ") and "not a predecessor" in err
+    assert "Traceback" not in err
+
+
+def test_run_cassette_without_the_key_exits_one(tmp_path, capsys):
+    cassette = run_cassette(tmp_path, VALID, query="another query")
+    assert main(["run", "--query", "merge the reports", "--candidates", ",".join(RUN_TOOLS),
+                 "--fixture", cassette]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dagplan: no fixture entry for key ")
+    assert "Traceback" not in err
+
+
+def test_run_trace_out_writes_trace_and_manifest(tmp_path, capsys):
+    plan = plan_text([("a", RUN_TOOLS[0]), ("b", RUN_TOOLS[1])], [("a", "b")])
+    trace_file = tmp_path / "trace.json"
+    assert main(["run", "--query", "merge the reports", "--candidates", ",".join(RUN_TOOLS),
+                 "--fixture", run_cassette(tmp_path, plan), "--trace-out", str(trace_file)]) == 0
+    trace = json.loads(trace_file.read_text())
+    assert trace["inference_steps"] == 1
+    assert set(trace["nodes"]) == {"a", "b"}
+    manifest = json.loads((tmp_path / "trace.json.manifest.json").read_text())
+    assert manifest["subcommand"] == "run"
+    assert manifest["config"]["query"] == "merge the reports"

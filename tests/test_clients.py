@@ -189,3 +189,13 @@ def test_http_client_rejects_malformed_response_shape():
             client.complete("p")
     finally:
         endpoint.close()
+
+
+def test_http_client_body_nested_too_deep_is_a_client_error():
+    endpoint = ScriptedEndpoint([(200, "[" * 100_000)])
+    try:
+        client = HttpCompletionClient(endpoint.url, "m", backoff=0.01)
+        with pytest.raises(ClientError, match="non-JSON response from"):
+            client.complete("p")
+    finally:
+        endpoint.close()

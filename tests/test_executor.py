@@ -385,6 +385,18 @@ def test_http_registry_gives_up_with_tool_error():
         endpoint.close()
 
 
+def test_http_registry_keeps_a_body_that_is_not_strict_json_as_text():
+    endpoint = ToolEndpoint()
+    try:
+        registry = HttpRegistry({"t": {"url": endpoint.url}}, backoff=0.01)
+        # The endpoint echoes the args, so it answers {"echo": {"x": NaN}, ...}.
+        out = registry.invoke("t", {"x": float("nan")})
+    finally:
+        endpoint.close()
+    assert out == {"text": '{"echo": {"x": NaN}, "path": "/"}'}
+    json.dumps(out, allow_nan=False)  # a trace holding it is still JSON
+
+
 # --- end to end ----------------------------------------------------------------------
 
 
