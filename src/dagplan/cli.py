@@ -45,6 +45,7 @@ from .pipeline import (
     DIFFICULTIES,
     DifficultyConfig,
     build_dataset,
+    iter_records,
     load_records,
     save_records,
 )
@@ -193,24 +194,18 @@ def _iter_plan_lines(path: str) -> Iterator[tuple[str | None, Any, str | None]]:
             yield None, doc, line
 
 
-def _candidate_texts(path: str) -> Iterator[tuple[str | None, str]]:
-    """(id, text) per line: the line, a candidate string, or an encoded plan."""
-    for cand_id, plan, text in _iter_plan_lines(path):
-        if text is None:
-            text = plan if isinstance(plan, str) else json.dumps(plan)
-        yield cand_id, text
-
-
 def cmd_score(args: argparse.Namespace) -> int:
-    candidates = list(_candidate_texts(args.candidates))
+    candidates = list(_iter_plan_lines(args.candidates))
     golds = list(_iter_plan_lines(args.golds))
     if len(candidates) != len(golds):
         raise UsageError(f"{len(candidates)} candidates vs {len(golds)} golds; counts must match")
     rows = []
     histogram: Counter[str] = Counter()
-    for (cand_id, text), (gold_id, plan, _) in zip(candidates, golds):
+    for (cand_id, candidate, text), (gold_id, plan, _) in zip(candidates, golds):
         if isinstance(plan, FormatError):
             raise plan
+        if text is None:
+            text = candidate if isinstance(candidate, str) else json.dumps(candidate)
         breakdown = score_plan(text, plan_from_doc(plan), self_loops=args.self_loop)
         histogram[breakdown.branch.value] += 1
         row = {"id": cand_id or gold_id, **breakdown.to_dict()}
@@ -248,17 +243,18 @@ def _print_metrics_table(doc: dict[str, Any]) -> None:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    dataset = load_records(args.dataset)
-    predictions: dict[str, str] = {}
-    for pred_id, text in _candidate_texts(args.predictions):
+    predictions: dict[str, Any] = {}
+    for pred_id, candidate, _ in _iter_plan_lines(args.predictions):
         if pred_id is None:
             raise UsageError("eval predictions must be JSONL objects with an 'id' field")
         if not isinstance(pred_id, str):
             raise FormatError(f'{args.predictions}: a prediction "id" is not a string')
-        predictions[pred_id] = text
+        predictions[pred_id] = candidate
 
+    # The dataset streams: each record is scored as it is read, then dropped.
+    records = iter_records(args.dataset)
     groups, overall = evaluate_groups(
-        ((r.difficulty, predictions.get(r.record_id), r.gold_plan) for r in dataset),
+        ((r.difficulty, predictions.get(r.record_id), r.gold_plan) for r in records),
         self_loops=args.self_loop,
     )
     doc: dict[str, Any] = {
@@ -385,7 +381,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         specs = library.subset(candidate_ids)
     except KeyError as exc:
-        raise UsageError(str(exc)) from None
+        raise UsageError(exc.args[0]) from None
     registry = _resolve_registry(args)
     synthesizer = planner if args.synthesize else None
     try:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -513,6 +514,49 @@ def test_malformed_dataset_line_exits_two_naming_line_and_field(tmp_path, capsys
     assert "Traceback" not in err
 
 
+def test_eval_stops_at_a_malformed_dataset_line_and_writes_no_summary(tmp_path, capsys):
+    lines = [_record_line(id=f"r{i}") for i in range(5)]
+    lines[3] = _record_line(id="r3", difficulty=5)
+    dataset = write(tmp_path, "data.jsonl", "".join(line + "\n" for line in lines))
+    predictions = write(tmp_path, "preds.jsonl", json.dumps(
+        {"id": "r0", "candidate": json.loads(lines[0])["gold_plan"]}) + "\n")
+    out = tmp_path / "summary.json"
+    assert main(["eval", "--predictions", predictions, "--dataset", dataset, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f'dagplan: {dataset} line 4: field "difficulty" is not a string\n'
+    assert captured.out == ""
+    assert not out.exists() and not (tmp_path / "summary.json.manifest.json").exists()
+
+
+def test_eval_reports_malformed_predictions_before_a_malformed_dataset(tmp_path, capsys):
+    dataset = write(tmp_path, "data.jsonl", "{}\n")
+    predictions = write(tmp_path, "preds.jsonl", '{"id": 5, "candidate": "x"}\n')
+    assert main(["eval", "--predictions", predictions, "--dataset", dataset]) == 2
+    assert capsys.readouterr().err == f'dagplan: {predictions}: a prediction "id" is not a string\n'
+
+
+def test_eval_peak_memory_is_under_half_of_loading_the_dataset(tmp_path):
+    dataset = tmp_path / "data.jsonl"
+    assert main(["gen", "--offline", "--counts", "Easy=700,Medium=700,Hard=600", "--seed", "4",
+                 "--out", str(dataset)]) == 0
+    first = json.loads(dataset.read_text(encoding="utf-8").splitlines()[0])
+    predictions = write(tmp_path, "preds.jsonl",
+                        json.dumps({"id": first["id"], "candidate": first["gold_plan"]}) + "\n")
+    out = tmp_path / "summary.json"
+    tracemalloc.start()
+    try:
+        assert len(load_records(dataset)) == 2000
+        load_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert main(["eval", "--predictions", predictions, "--dataset", str(dataset),
+                     "--out", str(out)]) == 0
+        eval_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert json.loads(out.read_text())["overall"]["count"] == 2000
+    assert eval_peak < load_peak / 2, (eval_peak, load_peak)
+
+
 @pytest.mark.parametrize("argv, name, text, message", [
     (["curate", "--dataset", "{data}", "--out", "{tmp}/kept.jsonl", "--fixture", "{file}"],
      "cassette.json", "[1, 2]", "a cassette is an object of response strings"),
@@ -665,7 +709,7 @@ def test_run_without_planner_is_usage_error(monkeypatch, capsys):
 def test_run_with_unknown_candidate_is_usage_error(tmp_path, capsys):
     cassette = run_cassette(tmp_path, VALID)
     assert main(["run", "--query", "q", "--candidates", "nope.tool", "--fixture", cassette]) == 2
-    assert "no tool with id 'nope.tool'" in capsys.readouterr().err
+    assert capsys.readouterr().err == "dagplan: no tool with id 'nope.tool'\n"
 
 
 def test_run_plan_that_fails_preflight_exits_one(tmp_path, capsys):

@@ -4,7 +4,10 @@
 document and a PlanGraph, ``DatasetRecord.from_dict``/``to_dict`` build on
 them, and ``iter_records`` decodes each line with the plan parser's strict
 decoder.  The properties here run over random graphs whose args nest lists
-and objects, and over arbitrary JSON written as a record line.
+and objects, and over arbitrary JSON written as a record line.  ``eval``
+scores a decoded candidate without encoding it again, so the properties also
+pin that ``plan_from_doc`` judges a document as the public PlanGraph
+constructor does, and that a decoded candidate scores as its JSON text.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from dagplan import (
     save_records,
     serialize_plan,
 )
-from dagplan.plan import FormatError, plan_doc, plan_from_doc
+from dagplan.metrics import evaluate_groups
+from dagplan.plan import FormatError, PlanSyntaxError, plan_doc, plan_from_doc
 
 TEXT = st.text(max_size=6)
 SCALARS = (st.none() | st.booleans() | st.integers(-(2**63), 2**63)
@@ -172,33 +176,66 @@ def test_record_shares_nothing_mutable_with_its_document():
     assert record.to_dict() == before
 
 
-@pytest.mark.parametrize("where, field", [
+UNICODE_CASES = [
     ("id", "id"), ("query", "query"), ("candidate_tools", "candidate_tools"),
     ("node id", "gold_plan"), ("args", "gold_plan"), ("args key", "gold_plan"),
     ("generator", "provenance.generator"),
-])
-def test_strings_that_are_not_valid_unicode_are_format_errors(tmp_path, where, field):
-    lone = "x\ud800y"  # a lone surrogate: no UTF-8 encoding exists
+]
+
+
+def record_doc_with(where: str, text: str) -> dict:
+    """A valid record document with ``text`` placed at ``where``."""
     doc = {"id": "r", "query": "q", "candidate_tools": ["t"], "difficulty": "Easy",
            "gold_plan": {"nodes": [{"id": "a", "tool": "t", "args": {"k": ["v"]}}]},
            "provenance": {"generator": "g"}}
     node = doc["gold_plan"]["nodes"][0]
     if where in ("id", "query"):
-        doc[where] = lone
+        doc[where] = text
     elif where == "candidate_tools":
-        doc["candidate_tools"].append(lone)
+        doc["candidate_tools"].append(text)
     elif where == "node id":
-        node["id"] = lone
+        node["id"] = text
     elif where == "args":
-        node["args"]["k"].append({"deep": lone})
+        node["args"]["k"].append({"deep": text})
     elif where == "args key":
-        node["args"][lone] = 1
+        node["args"][text] = 1
     else:
-        doc["provenance"]["generator"] = lone
+        doc["provenance"]["generator"] = text
+    return doc
+
+
+@pytest.mark.parametrize("where, field", UNICODE_CASES)
+def test_strings_that_are_not_valid_unicode_are_format_errors(tmp_path, where, field):
+    lone = "x\ud800y"  # a lone surrogate: no UTF-8 encoding exists
     path = tmp_path / "data.jsonl"
-    path.write_text(json.dumps(doc) + "\n", encoding="utf-8")  # written as a \ud800 escape
+    path.write_text(json.dumps(record_doc_with(where, lone)) + "\n",
+                    encoding="utf-8")  # written as a \ud800 escape
     with pytest.raises(FormatError, match=f'line 1: field "{field}" is not valid Unicode'):
         load_records(path)
+
+
+@pytest.mark.parametrize("where, field", UNICODE_CASES)
+def test_uppercase_surrogate_escapes_are_format_errors(tmp_path, where, field):
+    line = json.dumps(record_doc_with(where, "x\udc00y"))
+    assert "\\udc00" in line
+    path = tmp_path / "data.jsonl"
+    path.write_text(line.replace("\\udc00", "\\uDC00") + "\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=f'line 1: field "{field}" is not valid Unicode'):
+        load_records(path)
+
+
+@pytest.mark.parametrize("where, field", UNICODE_CASES)
+def test_from_dict_rejects_strings_that_are_not_valid_unicode(where, field):
+    with pytest.raises(FormatError, match=f'^field "{field}" is not valid Unicode$'):
+        DatasetRecord.from_dict(record_doc_with(where, "x\udfffy"))
+
+
+def test_an_escaped_backslash_before_u_is_not_a_surrogate(tmp_path):
+    doc = record_doc_with("query", "\\ud800 is six characters")
+    path = tmp_path / "data.jsonl"
+    path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    assert "\\\\ud800" in path.read_text(encoding="utf-8")  # the JSON text \\ud800
+    assert load_records(path)[0].query == doc["query"]
 
 
 def test_escaped_surrogate_pairs_load_and_save(tmp_path):
@@ -209,3 +246,72 @@ def test_escaped_surrogate_pairs_load_and_save(tmp_path):
     records = load_records(path)
     save_records(records, tmp_path / "again.jsonl")
     assert load_records(tmp_path / "again.jsonl") == records
+
+
+# --- decode once: a plan document is read as its text would be ------------------
+
+NAMES = st.sampled_from(["a", "b", "c", "d"])
+PLAN_DOCS = st.fixed_dictionaries({
+    "nodes": st.lists(st.fixed_dictionaries(
+        {"id": NAMES, "tool": NAMES}, optional={"args": st.dictionaries(TEXT, JSON, max_size=2)}),
+        max_size=5),
+    "edges": st.lists(st.fixed_dictionaries({"from": NAMES | st.just("z"), "to": NAMES}), max_size=6),
+})  # few names, so duplicate ids, shared tools, unknown endpoints and self-loops all occur
+SELF_LOOPS = st.sampled_from(["reject", "cycle"])
+
+
+def built_by_constructor(doc: dict, self_loops: str) -> PlanGraph | str:
+    """The public PlanGraph constructor's graph of a well-typed plan document,
+    repeated edges collapsed, or the reason it (or a rejected self-loop) refuses it."""
+    nodes = tuple(PlanNode(n["id"], n["tool"], n.get("args")) for n in doc["nodes"])
+    pairs = dict.fromkeys((e["from"], e["to"]) for e in doc["edges"])
+    try:
+        graph = PlanGraph(nodes, tuple(PlanEdge(src, dst) for src, dst in pairs))
+    except ValueError as exc:
+        return str(exc)
+    loops = [src for src, dst in pairs if src == dst]
+    return f"self-loop on node {loops[0]!r}" if loops and self_loops == "reject" else graph
+
+
+@settings(max_examples=300, deadline=None)
+@given(PLAN_DOCS, SELF_LOOPS)
+def test_plan_from_doc_accepts_and_rejects_what_the_constructor_does(doc, self_loops):
+    expected = built_by_constructor(doc, self_loops)
+    try:
+        graph = plan_from_doc(doc, self_loops=self_loops)
+    except PlanSyntaxError as exc:
+        assert exc.reason == expected
+        return
+    assert isinstance(expected, PlanGraph)
+    assert graph == expected
+    assert (graph.nodes, graph.edges) == (expected.nodes, expected.edges)
+
+
+def test_a_field_error_outranks_a_broken_invariant_earlier_in_the_document():
+    doc = {"nodes": [{"id": "a", "tool": "t"}, {"id": "a", "tool": "u"}, 7],
+           "edges": [{"from": "a", "to": "a"}, {"from": "a", "to": "z"}]}
+    with pytest.raises(PlanSyntaxError, match="^node #2 is not an object$"):
+        plan_from_doc(doc)
+    doc["nodes"].pop()
+    with pytest.raises(PlanSyntaxError, match="^duplicate node id 'a'$"):
+        plan_from_doc(doc)
+    doc["nodes"][1]["id"] = "b"
+    with pytest.raises(PlanSyntaxError, match="^unknown endpoint 'z'$"):
+        plan_from_doc(doc)
+    doc["edges"].pop()
+    with pytest.raises(PlanSyntaxError, match="^self-loop on node 'a'$"):
+        plan_from_doc(doc)
+    assert plan_from_doc(doc, self_loops="cycle").edge_pairs == {("a", "a")}
+
+
+GOLD = parse_plan('{"nodes": [{"id": "a", "tool": "a"}, {"id": "b", "tool": "b"},'
+                  ' {"id": "c", "tool": "c"}], "edges": [{"from": "a", "to": "b"}]}')
+
+
+# A top-level string is not a document here: a string candidate is plan text.
+@settings(max_examples=300, deadline=None)
+@given(PLAN_DOCS | JSON.filter(lambda value: not isinstance(value, str)), SELF_LOOPS)
+def test_a_decoded_candidate_scores_as_its_json_text(doc, self_loops):
+    items = [("g", doc, GOLD)]
+    as_text = [("g", json.dumps(doc), GOLD)]
+    assert evaluate_groups(items, self_loops=self_loops) == evaluate_groups(as_text, self_loops=self_loops)
