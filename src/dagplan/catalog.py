@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
-from .plan import FormatError, decode_json, read_text
+from .plan import FormatError, read_json
 
 PARAM_TYPES = ("string", "number", "boolean", "object", "array")
 
@@ -185,11 +185,7 @@ def _parse_tool(obj: Any, index: int) -> ToolSpec:
 def load_library(path: str | Path) -> ToolLibrary:
     """Load a catalog file, rejecting parse failures and duplicate ids."""
     path = Path(path)
-    text = read_text(path, MalformedCatalogError)
-    try:
-        doc = decode_json(text, MalformedCatalogError)
-    except MalformedCatalogError as exc:
-        raise MalformedCatalogError(f"{path}: {exc}") from None
+    doc = read_json(path, MalformedCatalogError)
     if not isinstance(doc, list):
         raise MalformedCatalogError(f"{path}: top-level value is not an array")
     tools = [_parse_tool(obj, i) for i, obj in enumerate(doc)]

@@ -49,8 +49,8 @@ from .pipeline import (
     load_records,
     save_records,
 )
-from .plan import (FormatError, PlanSyntaxError, decode_json, parse_plan, plan_from_doc,
-                   read_json, read_lines, read_text, to_dot, validate_text)
+from .plan import (FormatError, PlanSyntaxError, decode_json, parse_plan, read_json,
+                   read_lines, read_text, to_dot, validate_text)
 from .reward import score_plan
 
 
@@ -80,30 +80,21 @@ def _write_manifest(out_path: str | Path, subcommand: str, config: dict[str, Any
 
 
 def _resolve_client(args: argparse.Namespace) -> CompletionClient | None:
-    if getattr(args, "offline", False):
+    if args.offline:
         return None
-    if getattr(args, "fixture", None):
+    if args.fixture:
         return FixtureClient(args.fixture)
     file_cfg: dict[str, Any] = {}
-    if getattr(args, "client_config", None):
+    if args.client_config:
         file_cfg = read_json(args.client_config)
         kinds = {"base_url": str, "model": str, "api_key_env": str, "timeout": (int, float)}
         if not isinstance(file_cfg, dict) or any(
                 k in file_cfg and not isinstance(file_cfg[k], t) for k, t in kinds.items()):
             raise FormatError(f'{args.client_config}: not an object of strings and a numeric "timeout"')
-    base_url = (
-        getattr(args, "base_url", None)
-        or os.environ.get("DAGPLAN_BASE_URL")
-        or file_cfg.get("base_url")
-    )
+    base_url = args.base_url or os.environ.get("DAGPLAN_BASE_URL") or file_cfg.get("base_url")
     if not base_url:
         return None
-    model = (
-        getattr(args, "model", None)
-        or os.environ.get("DAGPLAN_MODEL")
-        or file_cfg.get("model")
-        or "default"
-    )
+    model = args.model or os.environ.get("DAGPLAN_MODEL") or file_cfg.get("model") or "default"
     return HttpCompletionClient(
         base_url,
         model,
@@ -113,16 +104,16 @@ def _resolve_client(args: argparse.Namespace) -> CompletionClient | None:
 
 
 def _resolve_library(args: argparse.Namespace) -> ToolLibrary:
-    if getattr(args, "library", None):
+    if args.library:
         return load_library(args.library)
     return synth_library(args.synth_tools, args.seed)
 
 
 def _resolve_registry(args: argparse.Namespace) -> ToolRegistry:
-    if getattr(args, "registry", None):
+    if args.registry:
         return HttpRegistry.from_file(args.registry)
-    fail = tuple(t for t in (getattr(args, "fail", "") or "").split(",") if t)
-    return MockRegistry(latency=getattr(args, "latency", 0.0), fail=fail)
+    fail = tuple(t for t in args.fail.split(",") if t)
+    return MockRegistry(latency=args.latency, fail=fail)
 
 
 def _parse_counts(spec: str) -> dict[str, int]:
@@ -171,12 +162,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
 # --- score ---------------------------------------------------------------
 
 
-def _iter_plan_lines(path: str) -> Iterator[tuple[str | None, Any, str | None]]:
-    """Yield (id, plan, text) per non-blank line of a JSONL plan file, decoded once.
+def _iter_plan_lines(path: str) -> Iterator[tuple[str, Any, Any]]:
+    """Yield (location, id, plan) per non-blank line of a JSONL plan file, decoded once.
 
     An object's "candidate", or a dataset record's "gold_plan", is the plan,
-    with the object's "id" and no text.  Any other line is its own text, with no
-    id and as plan its document, or the FormatError saying it is not JSON.
+    with the object's "id".  Any other line is its own plan, with no id: its
+    document, or the raw line when it is not JSON or decodes to a string, so
+    ``parse_plan`` reads it as text.
     """
     for number, line in enumerate(read_lines(path), 1):
         line = line.rstrip("\n")
@@ -184,14 +176,15 @@ def _iter_plan_lines(path: str) -> Iterator[tuple[str | None, Any, str | None]]:
             continue
         try:
             doc = decode_json(line)
-        except FormatError as exc:
-            doc = FormatError(f"{path} line {number}: {exc}")
+        except FormatError:
+            doc = line
+        location = f"{path} line {number}"
         if isinstance(doc, dict) and "candidate" in doc:
-            yield doc.get("id"), doc["candidate"], None
+            yield location, doc.get("id"), doc["candidate"]
         elif isinstance(doc, dict) and "gold_plan" in doc:
-            yield doc.get("id"), doc["gold_plan"], None
+            yield location, doc.get("id"), doc["gold_plan"]
         else:
-            yield None, doc, line
+            yield location, None, line if isinstance(doc, str) else doc
 
 
 def cmd_score(args: argparse.Namespace) -> int:
@@ -201,12 +194,12 @@ def cmd_score(args: argparse.Namespace) -> int:
         raise UsageError(f"{len(candidates)} candidates vs {len(golds)} golds; counts must match")
     rows = []
     histogram: Counter[str] = Counter()
-    for (cand_id, candidate, text), (gold_id, plan, _) in zip(candidates, golds):
-        if isinstance(plan, FormatError):
-            raise plan
-        if text is None:
-            text = candidate if isinstance(candidate, str) else json.dumps(candidate)
-        breakdown = score_plan(text, plan_from_doc(plan), self_loops=args.self_loop)
+    for (_, cand_id, candidate), (location, gold_id, plan) in zip(candidates, golds):
+        try:
+            gold = parse_plan(plan)
+        except PlanSyntaxError as exc:
+            raise FormatError(f"{location}: {exc.reason}") from None
+        breakdown = score_plan(candidate, gold, self_loops=args.self_loop)
         histogram[breakdown.branch.value] += 1
         row = {"id": cand_id or gold_id, **breakdown.to_dict()}
         rows.append(row)
@@ -244,7 +237,7 @@ def _print_metrics_table(doc: dict[str, Any]) -> None:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     predictions: dict[str, Any] = {}
-    for pred_id, candidate, _ in _iter_plan_lines(args.predictions):
+    for _, pred_id, candidate in _iter_plan_lines(args.predictions):
         if pred_id is None:
             raise UsageError("eval predictions must be JSONL objects with an 'id' field")
         if not isinstance(pred_id, str):
@@ -258,7 +251,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         self_loops=args.self_loop,
     )
     doc: dict[str, Any] = {
-        "groups": {d: groups[d].to_dict() for d in DIFFICULTIES if d in groups},
+        # The three known difficulties first, then any other, in order of first appearance.
+        "groups": {d: groups[d].to_dict() for d in (*DIFFICULTIES, *groups) if d in groups},
         "overall": overall.to_dict(),
     }
     _print_metrics_table(doc)

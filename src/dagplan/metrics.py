@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-from .plan import PlanGraph, PlanSyntaxError, parse_plan, plan_from_doc
+from .plan import PlanGraph, PlanSyntaxError, parse_plan
 
 METRIC_FIELDS = (
     "node_p", "node_r", "node_f1",
@@ -112,18 +112,17 @@ def evaluate_groups(
     """Evaluate (group, candidate, gold plan) triples by group, consuming
     ``items`` once, so a stream of triples is scored as it is read.
 
-    A candidate is plan text (read by ``parse_plan``), a decoded plan
-    document (read by ``plan_from_doc``, with no text round trip), or None.
-    Returns one summary per group, in order of first appearance, and one
-    over all triples.  A missing (None) or unparseable candidate is a
-    failure: it scores zero on every metric and increments ``failures``.
+    A candidate is plan text or a decoded plan document, both read by
+    ``parse_plan`` (a document with no text round trip), or None.  Returns one
+    summary per group, in order of first appearance, and one over all
+    triples.  A missing (None) or unparseable candidate is a failure: it
+    scores zero on every metric and increments ``failures``.
     """
     rows: dict[str, list[PlanMetrics]] = {}
     failures: Counter[str] = Counter()
     for group, candidate, gold in items:
-        read = parse_plan if isinstance(candidate, str) else plan_from_doc
         try:
-            row = None if candidate is None else score_pair(read(candidate, self_loops=self_loops), gold)
+            row = None if candidate is None else score_pair(parse_plan(candidate, self_loops=self_loops), gold)
         except PlanSyntaxError:
             row = None
         if row is None:

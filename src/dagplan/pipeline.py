@@ -140,6 +140,8 @@ def _gold_problem(plan: PlanGraph, offered: set[str]) -> str | None:
     """The reason ``plan`` cannot be a gold plan over ``offered`` tools, or None."""
     if len(plan) == 0:
         return "gold plan is empty"
+    if not _plan_is_unicode(plan):
+        return "gold plan is not valid Unicode"
     report = validate_graph(plan)
     if not report.fully_valid:
         return f"gold plan fails {report.failed_check}: {report.detail}"
@@ -209,8 +211,7 @@ class DatasetRecord:
             gold = plan_from_doc(_field(doc, "gold_plan", object))
         except PlanSyntaxError as exc:
             raise FormatError(f'field "gold_plan": {exc.reason}') from None
-        if not (_is_unicode("".join(n.id + n.tool for n in gold.nodes))
-                and all(_is_unicode(n.args) for n in gold.nodes if n.args)):
+        if not _plan_is_unicode(gold):
             raise FormatError('field "gold_plan" is not valid Unicode')
         difficulty = _field(doc, "difficulty", str)
         prov = _field(doc, "provenance", dict, {})
@@ -259,6 +260,12 @@ def _is_unicode(value: Any) -> bool:
     if isinstance(value, list):
         return all(map(_is_unicode, value))
     return True
+
+
+def _plan_is_unicode(plan: PlanGraph) -> bool:
+    """Whether every node id, tool and args string of ``plan`` encodes as UTF-8."""
+    return (_is_unicode("".join(n.id + n.tool for n in plan.nodes))
+            and all(_is_unicode(n.args) for n in plan.nodes if n.args))
 
 
 def save_records(records: Iterable[DatasetRecord], path: str | Path, *, append: bool = False) -> None:
@@ -443,6 +450,8 @@ def reverse_engineer_query(
     text = client.complete(query_prompt(specs, serialize_plan(plan))).strip()
     if not text:
         raise EmptyResponseError("query reverse-engineering returned empty text")
+    if not _is_unicode(text):
+        raise ClientError("query reverse-engineering returned text that is not valid Unicode")
     return text
 
 
@@ -525,62 +534,6 @@ class BuildStats:
         return asdict(self)
 
 
-def _build_one(
-    library: ToolLibrary,
-    config: DifficultyConfig,
-    difficulty: str,
-    index: int,
-    seed: int | str,
-    client: CompletionClient | None,
-    mode: str,
-    threshold: float,
-    max_attempts: int,
-) -> tuple[DatasetRecord | None, BuildStats]:
-    local = BuildStats()
-    for attempt in range(max_attempts):
-        local.attempts += 1
-        record_seed = f"{seed}:{difficulty}:{index}:{attempt}"
-        try:
-            candidate_tools, plan = generate_workflow(
-                library, difficulty, record_seed,
-                author=client if client is not None else "local",
-                config=config,
-            )
-        except AuthorExhaustedError:
-            local.author_failures += 1
-            continue
-        try:
-            query = reverse_engineer_query(plan, library, client)
-            outcome = None if client is None else replan_and_filter(
-                query, library.subset(candidate_tools), plan, client, mode,
-                threshold=threshold,
-            )
-        except (ClientError, EmptyResponseError):
-            local.client_errors += 1
-            continue
-        if outcome is None:
-            provenance = Provenance(generator="local:layered/v1")
-        elif outcome.accepted:
-            plan = outcome.final_plan
-            provenance = Provenance(generator=f"teacher:{client.model_name}",
-                                    teacher_model=client.model_name, replan_agreed=True)
-        else:
-            if outcome.replan is None:
-                local.unparseable_replans += 1
-            else:
-                local.rejected_replans += 1
-            continue
-        return DatasetRecord(
-            record_id=f"{difficulty.lower()}-{index:05d}",
-            query=query,
-            candidate_tools=tuple(candidate_tools),
-            gold_plan=plan,
-            difficulty=difficulty,
-            provenance=provenance,
-        ), local
-    return None, local
-
-
 def build_dataset(
     library: ToolLibrary,
     counts: Mapping[str, int],
@@ -616,9 +569,49 @@ def build_dataset(
 
     def run(task: tuple[str, int]) -> tuple[DatasetRecord | None, BuildStats]:
         difficulty, index = task
-        return _build_one(
-            library, config, difficulty, index, seed, client, mode, threshold, max_attempts
-        )
+        local = BuildStats()
+        for attempt in range(max_attempts):
+            local.attempts += 1
+            record_seed = f"{seed}:{difficulty}:{index}:{attempt}"
+            try:
+                candidate_tools, plan = generate_workflow(
+                    library, difficulty, record_seed,
+                    author=client if client is not None else "local",
+                    config=config,
+                )
+            except AuthorExhaustedError:
+                local.author_failures += 1
+                continue
+            try:
+                query = reverse_engineer_query(plan, library, client)
+                outcome = None if client is None else replan_and_filter(
+                    query, library.subset(candidate_tools), plan, client, mode,
+                    threshold=threshold,
+                )
+            except ClientError:
+                local.client_errors += 1
+                continue
+            if outcome is None:
+                provenance = Provenance(generator="local:layered/v1")
+            elif outcome.accepted:
+                plan = outcome.final_plan
+                provenance = Provenance(generator=f"teacher:{client.model_name}",
+                                        teacher_model=client.model_name, replan_agreed=True)
+            elif outcome.replan is None:
+                local.unparseable_replans += 1
+                continue
+            else:
+                local.rejected_replans += 1
+                continue
+            return DatasetRecord(
+                record_id=f"{difficulty.lower()}-{index:05d}",
+                query=query,
+                candidate_tools=tuple(candidate_tools),
+                gold_plan=plan,
+                difficulty=difficulty,
+                provenance=provenance,
+            ), local
+        return None, local
 
     if jobs > 1 and tasks:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

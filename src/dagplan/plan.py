@@ -291,13 +291,13 @@ def read_lines(path: str | Path) -> Iterator[str]:
             raise _not_utf8(path, exc, FormatError) from None
 
 
-def read_json(path: str | Path) -> Any:
-    """``decode_json`` of a UTF-8 file; a FormatError names the file."""
-    text = read_text(path)
+def read_json(path: str | Path, error: type[FormatError] = FormatError) -> Any:
+    """``decode_json`` of a UTF-8 file; ``error`` names the file."""
+    text = read_text(path, error)
     try:
-        return decode_json(text)
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+        return decode_json(text, error)
+    except error as exc:
+        raise error(f"{path}: {exc}") from None
 
 
 _SCALARS = (str, int, float, type(None))
@@ -316,10 +316,12 @@ def _copy_args(value: Any, level: int, nid: str) -> Any:
     return value
 
 
-def parse_plan(text: str, *, self_loops: str = "reject") -> PlanGraph:
-    """Interpret raw planner output as a PlanGraph: ``plan_from_doc`` of the
-    text's ``decode_json``, any rejection raised as PlanSyntaxError."""
-    return plan_from_doc(decode_json(text, PlanSyntaxError), self_loops=self_loops)
+def parse_plan(plan: Any, *, self_loops: str = "reject") -> PlanGraph:
+    """Interpret planner output as a PlanGraph: ``plan_from_doc`` of a decoded
+    plan document, where a ``str`` is plan text and is decoded first and any
+    other value is the document; any rejection raised as PlanSyntaxError."""
+    doc = decode_json(plan, PlanSyntaxError) if isinstance(plan, str) else plan
+    return plan_from_doc(doc, self_loops=self_loops)
 
 
 def plan_from_doc(doc: Any, *, self_loops: str = "reject") -> PlanGraph:
@@ -510,10 +512,11 @@ def validate_graph(g: PlanGraph) -> ValidationReport:
     )
 
 
-def validate_text(text: str, *, self_loops: str = "reject") -> ValidationReport:
-    """Parse and structurally check raw plan text, never raising on the text."""
+def validate_text(plan: Any, *, self_loops: str = "reject") -> ValidationReport:
+    """Parse and structurally check plan text or a decoded plan document, as
+    ``parse_plan`` reads them, never raising on the plan."""
     try:
-        g = parse_plan(text, self_loops=self_loops)
+        g = parse_plan(plan, self_loops=self_loops)
     except PlanSyntaxError as exc:
         return ValidationReport(
             syntax_ok=False, is_acyclic=True, is_connected=True, reason=exc.reason

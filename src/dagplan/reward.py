@@ -89,21 +89,23 @@ def edge_f1(predicted: Iterable, gold: Iterable) -> float:
     return set_prf(predicted, gold)[2]
 
 
-def score_plan(candidate_text: str, gold: PlanGraph, *, self_loops: str = "reject") -> RewardBreakdown:
-    """Score raw candidate text against a gold plan: ``score_group`` of one text."""
-    return score_group([candidate_text], gold, self_loops=self_loops)[0]
+def score_plan(candidate: Any, gold: PlanGraph, *, self_loops: str = "reject") -> RewardBreakdown:
+    """Score one candidate against a gold plan: ``score_group`` of one candidate."""
+    return score_group([candidate], gold, self_loops=self_loops)[0]
 
 
-def score_group(texts: Sequence[str], gold: PlanGraph, *, self_loops: str = "reject") -> list[RewardBreakdown]:
-    """Score a rollout group against one gold plan, fail-fast per text.
+def score_group(candidates: Sequence[Any], gold: PlanGraph, *, self_loops: str = "reject") -> list[RewardBreakdown]:
+    """Score a rollout group against one gold plan, fail-fast per candidate.
 
-    Checks run in strict precedence — syntax, then cycle, then connectivity —
-    and the first failing level's penalty is returned; the verdict and its
-    witness are those of ``validate_text``.  Candidates passing all
-    three score ``5*edge_f1 + 5*exact_match`` from ``metrics.score_pair``:
-    edges compare as (source tool, target tool) pairs and exact match means
-    tool-set and edge-set equality with the gold.  The gold is checked once
-    and each distinct text is scored once; results keep input order.
+    A candidate is plan text or a decoded plan document, as ``parse_plan``
+    reads them.  Checks run in strict precedence — syntax, then cycle, then
+    connectivity — and the first failing level's penalty is returned; the
+    verdict and its witness are those of ``validate_text``.  Candidates
+    passing all three score ``5*edge_f1 + 5*exact_match`` from
+    ``metrics.score_pair``: edges compare as (source tool, target tool) pairs
+    and exact match means tool-set and edge-set equality with the gold.  The
+    gold is checked once and each distinct text is scored once (a document
+    cannot be hashed, so each one is scored); results keep input order.
 
     Raises InvalidGoldError when the gold plan itself is cyclic; gold
     connectivity is a dataset-build-time obligation and is not checked here.
@@ -111,19 +113,20 @@ def score_group(texts: Sequence[str], gold: PlanGraph, *, self_loops: str = "rej
     gold_cycle = detect_cycle(gold)
     if gold_cycle is not None:
         raise InvalidGoldError("gold plan is cyclic: " + " -> ".join(gold_cycle))
-    scores: dict[str, RewardBreakdown] = {}
-    for text in dict.fromkeys(texts):
-        report = validate_text(text, self_loops=self_loops)
+
+    def score(candidate: Any) -> RewardBreakdown:
+        report = validate_text(candidate, self_loops=self_loops)
         if not report.fully_valid:
             branch = RewardBranch(report.failed_check)
-            scores[text] = RewardBreakdown(branch, _PENALTIES[branch], detail=report.detail)
-            continue
+            return RewardBreakdown(branch, _PENALTIES[branch], detail=report.detail)
         pair = score_pair(report.graph, gold)
         value = EDGE_F1_SCALE * pair.edge_f1 + PERFECT_MATCH_BONUS * pair.exact_match
-        scores[text] = RewardBreakdown(
+        return RewardBreakdown(
             RewardBranch.FIDELITY, value, edge_f1=pair.edge_f1, perfect_match=bool(pair.exact_match)
         )
-    return [scores[text] for text in texts]
+
+    texts = {text: score(text) for text in dict.fromkeys(c for c in candidates if isinstance(c, str))}
+    return [texts[c] if isinstance(c, str) else score(c) for c in candidates]
 
 
 @dataclass(frozen=True)

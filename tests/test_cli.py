@@ -136,6 +136,28 @@ def test_score_length_mismatch_is_usage_error(tmp_path):
     assert main(["score", "--candidates", a, "--golds", b]) == 2
 
 
+@pytest.mark.parametrize("line, reason", [
+    ('{"nodes": 5}', '"nodes" is not an array'),
+    ('"text"', "top-level value is not an object"),
+    ('{"gold_plan": {"nodes": [{"id": "a"}]}}', "node 'a' has no usable tool"),
+    ("junk", "not valid JSON: Expecting value at position 0"),
+], ids=["nodes-not-array", "json-string", "record-no-tool", "not-json"])
+def test_score_gold_line_that_is_not_a_plan_exits_two_naming_the_line(tmp_path, capsys, line, reason):
+    candidates = write(tmp_path, "c.jsonl", VALID + "\n" + VALID + "\n")
+    golds = write(tmp_path, "g.jsonl", VALID + "\n" + line + "\n")
+    assert main(["score", "--candidates", candidates, "--golds", golds]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"dagplan: {golds} line 2: {reason}\n"
+    assert captured.out == ""
+
+
+def test_score_cyclic_gold_exits_one(tmp_path, capsys):
+    candidates = write(tmp_path, "c.jsonl", VALID + "\n")
+    golds = write(tmp_path, "g.jsonl", CYCLIC + "\n")
+    assert main(["score", "--candidates", candidates, "--golds", golds]) == 1
+    assert capsys.readouterr().err == "dagplan: gold plan is cyclic: a -> b -> a\n"
+
+
 # --- eval ----------------------------------------------------------------------
 
 
@@ -178,6 +200,23 @@ def test_eval_counts_missing_predictions_as_failures(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["overall"]["failures"] == 1
     assert doc["overall"]["exact_match"] == 0.5
+
+
+def test_eval_reports_every_difficulty_the_dataset_names(tmp_path, capsys):
+    lines = [_record_line(id="r0", difficulty="Bogus"), _record_line(id="r1"),
+             _record_line(id="r2", difficulty="Extra"), _record_line(id="r3", difficulty="Bogus")]
+    dataset = write(tmp_path, "data.jsonl", "\n".join(lines) + "\n")
+    predictions = write(tmp_path, "preds.jsonl", "".join(
+        json.dumps({"id": f"r{i}", "candidate": json.loads(line)["gold_plan"]}) + "\n"
+        for i, line in enumerate(lines[:2])))
+    out = tmp_path / "summary.json"
+    assert main(["eval", "--predictions", predictions, "--dataset", dataset, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert {name: (g["count"], g["failures"]) for name, g in doc["groups"].items()} == {
+        "Easy": (1, 0), "Bogus": (2, 1), "Extra": (1, 1)}
+    assert doc["overall"]["count"] == 4
+    rows = [line.split()[:3] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert rows == [["Easy", "1", "0"], ["Bogus", "2", "1"], ["Extra", "1", "1"], ["Overall", "4", "2"]]
 
 
 def test_eval_prediction_id_that_is_not_a_string_exits_two(tmp_path, capsys):

@@ -32,6 +32,7 @@ from dagplan import (
     load_records,
     parse_plan,
     save_records,
+    score_plan,
     serialize_plan,
 )
 from dagplan.metrics import evaluate_groups
@@ -315,3 +316,5 @@ def test_a_decoded_candidate_scores_as_its_json_text(doc, self_loops):
     items = [("g", doc, GOLD)]
     as_text = [("g", json.dumps(doc), GOLD)]
     assert evaluate_groups(items, self_loops=self_loops) == evaluate_groups(as_text, self_loops=self_loops)
+    assert score_plan(doc, GOLD, self_loops=self_loops) == score_plan(
+        json.dumps(doc), GOLD, self_loops=self_loops)

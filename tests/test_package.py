@@ -1,4 +1,5 @@
-"""Package-level properties: the import has no third-party dependencies."""
+"""Package-level properties: the import has no third-party dependencies, and
+the public API is the fixed list of names below."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import dagplan
@@ -26,3 +28,30 @@ def test_import_loads_only_the_standard_library():
     loaded = {name.partition(".")[0] for name in json.loads(out)}
     foreign = sorted(loaded - set(sys.stdlib_module_names) - {"dagplan"})
     assert foreign == [], f"import dagplan loaded non-stdlib modules: {foreign}"
+
+
+# The public API, fixed by the ROADMAP: every name `dagplan/__init__.py` exports.
+PUBLIC_NAMES = {
+    "AuthorExhaustedError", "Band", "BandUnsatisfiableError", "BuildStats", "CONNECTIVITY_PENALTY",
+    "CYCLE_PENALTY", "ClientError", "CompletionClient", "CurationStats", "CycleError", "DIFFICULTIES",
+    "DatasetRecord", "DifficultyConfig", "DuplicateToolIdError", "EDGE_F1_SCALE", "EmptyResponseError",
+    "ExecutionTrace", "FixtureClient", "GroupAdvantages", "HttpCompletionClient", "HttpRegistry",
+    "InvalidGoldError", "MalformedCatalogError", "MetricsSummary", "MockRegistry", "NodeResult",
+    "PERFECT_MATCH_BONUS", "PlanEdge", "PlanGraph", "PlanMetrics", "PlanNode", "PlanRejectedError",
+    "PlanSyntaxError", "PreflightError", "Provenance", "REWARD_MAX", "REWARD_MIN", "RecordingClient",
+    "ReplanOutcome", "RewardBranch", "RewardBreakdown", "RolloutProfile", "SYNTAX_PENALTY",
+    "ScriptedClient", "ToolError", "ToolLibrary", "ToolParam", "ToolRegistry", "ToolSpec",
+    "ValidationReport", "build_dataset", "check_connectivity", "count_waves", "curate", "detect_cycle",
+    "edge_f1", "evaluate_set", "execute", "fixture_key", "generate_workflow", "group_advantages",
+    "iter_records", "leaf_outputs", "load_library", "load_records", "parse_plan", "profile_task",
+    "replan_and_filter", "reverse_engineer_query", "run_end_to_end", "save_cassette", "save_library",
+    "save_records", "score_group", "score_pair", "score_plan", "serialize_library", "serialize_plan",
+    "set_prf", "split_train_test", "summarize", "synth_library", "to_dot", "topo_order", "trace_to_dot",
+    "validate_graph", "validate_text",
+}
+
+
+def test_public_api_is_the_fixed_list():
+    exported = {name for name, value in vars(dagplan).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert exported == PUBLIC_NAMES

@@ -15,6 +15,7 @@ from dagplan import (
     AuthorExhaustedError,
     Band,
     BandUnsatisfiableError,
+    ClientError,
     DatasetRecord,
     DifficultyConfig,
     EmptyResponseError,
@@ -37,7 +38,7 @@ from dagplan import (
     topo_order,
 )
 from dagplan.prompts import query_prompt, replan_prompt, workflow_prompt
-from helpers import make_plan
+from helpers import make_plan, plan_text
 
 LIB = synth_library(80, seed=42)
 
@@ -133,7 +134,9 @@ def test_client_author_accepts_valid_plan():
 
 def test_client_author_retry_then_success():
     candidates, local_plan = generate_workflow(LIB, "Medium", seed=9)
-    author = ScriptedClient(["not json", serialize_plan(local_plan), "unused"])
+    # The JSON escape \ud800 decodes to a lone surrogate, which cannot be written as UTF-8.
+    lone = serialize_plan(local_plan).replace('"s0"', '"s\\ud800"')
+    author = ScriptedClient(["not json", lone, serialize_plan(local_plan)])
     _, got_plan = generate_workflow(LIB, "Medium", seed=9, author=author)
     assert got_plan == local_plan
 
@@ -172,6 +175,12 @@ def test_empty_query_response_is_an_error():
     client = ScriptedClient(["   "])
     with pytest.raises(EmptyResponseError):
         reverse_engineer_query(plan, LIB, client)
+
+
+def test_query_response_that_is_not_valid_unicode_is_a_client_error():
+    _, plan = generate_workflow(LIB, "Easy", seed=6)
+    with pytest.raises(ClientError, match="not valid Unicode"):
+        reverse_engineer_query(plan, LIB, ScriptedClient(["Fetch \ud800 things."]))
 
 
 # --- replan filter -----------------------------------------------------------------
@@ -252,6 +261,15 @@ def test_lenient_mode_rejects_structurally_unusable_replan():
     outcome = replan_and_filter("q", tools, gold, replanner(serialize_plan(cyclic)), "lenient")
     assert not outcome.accepted
     assert outcome.edge_f1 == pytest.approx(8 / 9, abs=1e-12)
+    assert "not structurally usable" in outcome.reason
+
+
+def test_lenient_mode_rejects_replan_that_is_not_valid_unicode():
+    gold = make_plan([("a", "x.t1"), ("b", "x.t2")], [("a", "b")])
+    lone = plan_text([("a", "x.t1", {"q": "\ud800"}), ("b", "x.t2")], [("a", "b")])
+    outcome = replan_and_filter("q", ["x.t1", "x.t2"], gold, replanner(lone), "lenient")
+    assert not outcome.accepted
+    assert outcome.edge_f1 == 1.0
     assert "not structurally usable" in outcome.reason
 
 
@@ -370,6 +388,19 @@ def test_build_absorbs_rejections_into_stats():
                                    max_attempts=1)
     assert len(records) == 1  # record 1 survives
     assert stats.unparseable_replans == 1
+    assert stats.shortfall == {"Easy": 1}
+
+
+def test_build_drops_a_record_whose_query_is_not_valid_unicode():
+    counts = {"Easy": 2}
+    cassette = build_fixture_cassette(counts, seed=31)
+    _, plan = generate_workflow(LIB, "Easy", "31:Easy:0:0")
+    ordered = [LIB[plan.node_index[nid].tool] for nid in topo_order(plan)]
+    cassette[fixture_key(query_prompt(ordered, serialize_plan(plan)))] = "Fetch \ud800 things."
+    records, stats = build_dataset(LIB, counts, seed=31, client=FixtureClient(cassette),
+                                   max_attempts=1)
+    assert [r.record_id for r in records] == ["easy-00001"]
+    assert stats.client_errors == 1
     assert stats.shortfall == {"Easy": 1}
 
 
