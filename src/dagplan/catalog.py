@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
-from .plan import FormatError, read_json
+from .plan import FormatError, is_unicode, read_json
 
 PARAM_TYPES = ("string", "number", "boolean", "object", "array")
 
@@ -173,13 +173,17 @@ def _parse_tool(obj: Any, index: int) -> ToolSpec:
     schema = obj.get("output_schema")
     if schema is not None and not isinstance(schema, dict):
         raise MalformedCatalogError(f"tool {tool_id!r}: output_schema is not an object")
-    return ToolSpec(
+    tool = ToolSpec(
         id=tool_id,
         name=str(obj.get("name", tool_id)),
         description=str(obj.get("description", "")),
         params=tuple(params),
         output_schema=schema,
     )
+    strings = "".join([tool.id, tool.name, tool.description, *(p.name for p in tool.params)])
+    if not (is_unicode(strings) and is_unicode(schema)):
+        raise MalformedCatalogError(f"tool {tool_id!r}: a string is not valid Unicode")
+    return tool
 
 
 def load_library(path: str | Path) -> ToolLibrary:

@@ -5,9 +5,10 @@ Subcommands: validate, score, eval, gen, curate, exec, run, report.
 Exit codes are a stable scripting contract: 0 success, 1 domain rejection
 (invalid plan, failed filter, failed nodes), 2 usage or IO error.  Every
 command that writes a primary output also writes a ``<output>.manifest.json``
-recording the resolved config, its hash, the seed, and tool versions; primary
-outputs are byte-reproducible for identical config/seed/fixtures, manifests
-carry the only timestamp.
+recording its config (every parsed option but the output paths, with resolved
+values in place of raw ones), the config's hash, the seed, and tool versions.
+Primary outputs are byte-reproducible for identical config/seed/fixtures, bar
+the measured times in execution traces; manifests carry the only timestamp.
 
 Client settings resolve as: CLI flag > environment variable (DAGPLAN_BASE_URL,
 DAGPLAN_MODEL; the secret always comes from the environment, DAGPLAN_API_KEY
@@ -66,10 +67,19 @@ def _write_json(path: str | Path, doc: Any) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _write_manifest(out_path: str | Path, subcommand: str, config: dict[str, Any]) -> None:
+# Parsed options that are not config: the dispatch and the paths a command writes
+# to, so two runs that differ only in where they write hash the same.
+_NOT_CONFIG = ("func", "command", "out", "trace_out", "dot", "train_out", "test_out")
+
+
+def _write_manifest(out_path: str | Path, args: argparse.Namespace, **resolved: Any) -> None:
+    """Write ``<out_path>.manifest.json``; its config is every option in ``args``
+    but ``_NOT_CONFIG``, with each ``resolved`` value replacing its raw option."""
+    config = {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
+    config.update(resolved)
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     manifest = {
-        "subcommand": subcommand,
+        "subcommand": args.command,
         "config": config,
         "config_hash": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
         "seed": config.get("seed"),
@@ -91,13 +101,14 @@ def _resolve_client(args: argparse.Namespace) -> CompletionClient | None:
         if not isinstance(file_cfg, dict) or any(
                 k in file_cfg and not isinstance(file_cfg[k], t) for k, t in kinds.items()):
             raise FormatError(f'{args.client_config}: not an object of strings and a numeric "timeout"')
-    base_url = args.base_url or os.environ.get("DAGPLAN_BASE_URL") or file_cfg.get("base_url")
-    if not base_url:
+    # The resolved settings go back onto args, so the manifest records what was used.
+    args.base_url = args.base_url or os.environ.get("DAGPLAN_BASE_URL") or file_cfg.get("base_url")
+    if not args.base_url:
         return None
-    model = args.model or os.environ.get("DAGPLAN_MODEL") or file_cfg.get("model") or "default"
+    args.model = args.model or os.environ.get("DAGPLAN_MODEL") or file_cfg.get("model") or "default"
     return HttpCompletionClient(
-        base_url,
-        model,
+        args.base_url,
+        args.model,
         api_key_env=file_cfg.get("api_key_env", "DAGPLAN_API_KEY"),
         timeout=float(file_cfg.get("timeout", 60.0)),
     )
@@ -212,8 +223,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     if args.out:
         Path(args.out).write_text(out_lines, encoding="utf-8")
         _write_json(str(args.out) + ".summary.json", summary)
-        _write_manifest(args.out, "score", {"candidates": args.candidates, "golds": args.golds,
-                                            "self_loop": args.self_loop, "seed": None})
+        _write_manifest(args.out, args)
     else:
         sys.stdout.write(out_lines)
     print(json.dumps(summary, sort_keys=True), file=sys.stderr)
@@ -258,9 +268,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     _print_metrics_table(doc)
     if args.out:
         _write_json(args.out, doc)
-        _write_manifest(args.out, "eval", {"predictions": args.predictions,
-                                           "dataset": args.dataset,
-                                           "self_loop": args.self_loop, "seed": None})
+        _write_manifest(args.out, args)
     return 0
 
 
@@ -294,12 +302,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     stats_doc["written"] = len(new_records)
     stats_doc["skipped_existing"] = len(records) - len(new_records)
     _write_json(str(out) + ".stats.json", stats_doc)
-    _write_manifest(out, "gen", {
-        "counts": counts, "seed": args.seed, "offline": args.offline,
-        "mode": args.mode, "threshold": args.threshold,
-        "library": args.library or f"synthetic:{args.synth_tools}",
-        "difficulty_config": config.to_dict(), "jobs": args.jobs,
-    })
+    _write_manifest(out, args, counts=counts, difficulty_config=config.to_dict())
     print(json.dumps(stats_doc, sort_keys=True))
     requested = sum(counts.values())
     return 0 if sum(stats.generated.values()) == requested else 1
@@ -327,11 +330,7 @@ def cmd_curate(args: argparse.Namespace) -> int:
     stats_doc["train_size"] = len(train)
     stats_doc["test_size"] = len(test)
     _write_json(str(args.out) + ".stats.json", stats_doc)
-    _write_manifest(args.out, "curate", {
-        "dataset": args.dataset, "rollouts": args.rollouts,
-        "bounds": [args.low, args.high], "seed": args.seed,
-        "split_seed": args.split_seed, "jobs": args.jobs,
-    })
+    _write_manifest(args.out, args)
     print(json.dumps(stats_doc, sort_keys=True))
     return 0
 
@@ -353,8 +352,7 @@ def cmd_exec(args: argparse.Namespace) -> int:
     print(f"waves={trace.waves} wall_time={trace.wall_time:.3f}s policy={trace.policy}")
     if args.trace_out:
         _write_json(args.trace_out, trace.to_dict())
-        _write_manifest(args.trace_out, "exec", {"plan": args.plan, "policy": args.policy,
-                                                 "latency": args.latency, "seed": None})
+        _write_manifest(args.trace_out, args)
     if args.dot:
         Path(args.dot).write_text(trace_to_dot(plan, trace), encoding="utf-8")
     return 0 if trace.ok() else 1
@@ -395,8 +393,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     if args.trace_out:
         _write_json(args.trace_out, trace.to_dict())
-        _write_manifest(args.trace_out, "run", {"query": args.query, "policy": args.policy,
-                                                "synthesize": args.synthesize, "seed": args.seed})
+        _write_manifest(args.trace_out, args)
     return 0 if trace.ok() else 1
 
 

@@ -178,10 +178,9 @@ class FixtureClient(CompletionClient):
 
 
 def save_cassette(entries: Mapping[str, str], path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps({"entries": dict(entries)}, indent=2, ensure_ascii=False),
-        encoding="utf-8",
-    )
+    """Write a cassette; JSON escapes keep every response, lone surrogates
+    included, replayable byte-for-byte."""
+    Path(path).write_text(json.dumps({"entries": dict(entries)}, indent=2), encoding="utf-8")
 
 
 class RecordingClient(CompletionClient):

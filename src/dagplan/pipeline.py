@@ -32,6 +32,7 @@ from .plan import (
     PlanEdge,
     PlanSyntaxError,
     decode_json,
+    is_unicode,
     parse_plan,
     plan_doc,
     plan_from_doc,
@@ -205,7 +206,7 @@ class DatasetRecord:
         tools = _field(doc, "candidate_tools", list)
         if not all(isinstance(t, str) for t in tools):
             raise FormatError('field "candidate_tools" is not an array of strings')
-        if not _is_unicode("".join(tools)):
+        if not is_unicode("".join(tools)):
             raise FormatError('field "candidate_tools" is not valid Unicode')
         try:
             gold = plan_from_doc(_field(doc, "gold_plan", object))
@@ -239,33 +240,15 @@ def _field(doc: Mapping[str, Any], name: str, kind: Any, default: Any = _REQUIRE
     value = doc[name]
     if not isinstance(value, kind):
         raise FormatError(f'field "{parent}{name}" is not {_JSON_TYPES[kind]}')
-    if isinstance(value, str) and not _is_unicode(value):
+    if isinstance(value, str) and not is_unicode(value):
         raise FormatError(f'field "{parent}{name}" is not valid Unicode')
     return value
 
 
-def _is_unicode(value: Any) -> bool:
-    """Whether every string in a decoded JSON value encodes as UTF-8; a lone
-    surrogate escape such as ``"\\ud800"`` decodes to one that does not."""
-    if isinstance(value, str):
-        if value.isascii():
-            return True
-        try:
-            value.encode("utf-8")
-        except UnicodeEncodeError:
-            return False
-        return True
-    if isinstance(value, dict):
-        return _is_unicode(list(value)) and _is_unicode(list(value.values()))
-    if isinstance(value, list):
-        return all(map(_is_unicode, value))
-    return True
-
-
 def _plan_is_unicode(plan: PlanGraph) -> bool:
     """Whether every node id, tool and args string of ``plan`` encodes as UTF-8."""
-    return (_is_unicode("".join(n.id + n.tool for n in plan.nodes))
-            and all(_is_unicode(n.args) for n in plan.nodes if n.args))
+    return (is_unicode("".join(n.id + n.tool for n in plan.nodes))
+            and all(is_unicode(n.args) for n in plan.nodes if n.args))
 
 
 def save_records(records: Iterable[DatasetRecord], path: str | Path, *, append: bool = False) -> None:
@@ -450,7 +433,7 @@ def reverse_engineer_query(
     text = client.complete(query_prompt(specs, serialize_plan(plan))).strip()
     if not text:
         raise EmptyResponseError("query reverse-engineering returned empty text")
-    if not _is_unicode(text):
+    if not is_unicode(text):
         raise ClientError("query reverse-engineering returned text that is not valid Unicode")
     return text
 
@@ -579,15 +562,14 @@ def build_dataset(
                     author=client if client is not None else "local",
                     config=config,
                 )
-            except AuthorExhaustedError:
-                local.author_failures += 1
-                continue
-            try:
                 query = reverse_engineer_query(plan, library, client)
                 outcome = None if client is None else replan_and_filter(
                     query, library.subset(candidate_tools), plan, client, mode,
                     threshold=threshold,
                 )
+            except AuthorExhaustedError:
+                local.author_failures += 1
+                continue
             except ClientError:
                 local.client_errors += 1
                 continue

@@ -269,6 +269,24 @@ def decode_json(text: str, error: type[ValueError] = FormatError) -> Any:
         raise error(f"not valid JSON: {exc}") from None
 
 
+def is_unicode(value: Any) -> bool:
+    """Whether every string in a decoded JSON value encodes as UTF-8; a lone
+    surrogate escape such as ``"\\ud800"`` decodes to one that does not."""
+    if isinstance(value, str):
+        if value.isascii():
+            return True
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            return False
+        return True
+    if isinstance(value, dict):
+        return is_unicode(list(value)) and is_unicode(list(value.values()))
+    if isinstance(value, list):
+        return all(map(is_unicode, value))
+    return True
+
+
 def _not_utf8(path: str | Path, exc: UnicodeDecodeError, error: type[FormatError]) -> FormatError:
     return error(f"{path}: not valid UTF-8 ({exc.reason}, byte 0x{exc.object[exc.start]:02x})")
 

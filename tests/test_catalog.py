@@ -82,6 +82,23 @@ def test_malformed_catalogs_rejected(tmp_path, doc):
         load_library(write_catalog(tmp_path, doc))
 
 
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"id": "weather.get\ud800"},
+        {"name": "x\ud800"},
+        {"description": "\udfff"},
+        {"params": [{"name": "city\ud800"}]},
+        {"output_schema": {"type": "\ud800"}},
+        {"output_schema": {"\ud800": "object"}},
+    ],
+)
+def test_catalog_string_that_is_not_valid_unicode_names_the_tool(tmp_path, changes):
+    path = write_catalog(tmp_path, [dict(THREE_TOOLS[0], **changes)])
+    with pytest.raises(MalformedCatalogError, match="tool 'weather.get.*not valid Unicode"):
+        load_library(path)
+
+
 def test_not_json_rejected(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("not json[", encoding="utf-8")

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import json
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from dagplan import (
+    DifficultyConfig,
     build_dataset,
     fixture_key,
     load_records,
@@ -363,29 +365,34 @@ def test_client_settings_precedence(tmp_path, monkeypatch):
 
     config = tmp_path / "client.json"
     config.write_text(json.dumps({"base_url": "http://file", "model": "file-model"}))
-    namespace = argparse.Namespace(
-        offline=False, fixture=None, client_config=str(config), base_url=None, model=None
-    )
+
+    def resolve(**flags):
+        """The client resolved from these flags; the settings it used are written back onto args."""
+        namespace = argparse.Namespace(**{"offline": False, "fixture": None, "base_url": None,
+                                          "model": None, "client_config": str(config), **flags})
+        client = _resolve_client(namespace)
+        if client is not None:
+            assert (namespace.base_url, namespace.model) == (client.base_url, client.model_name)
+        return client
+
     monkeypatch.delenv("DAGPLAN_BASE_URL", raising=False)
     monkeypatch.delenv("DAGPLAN_MODEL", raising=False)
-    client = _resolve_client(namespace)
+    client = resolve()
     assert client.base_url == "http://file"
     assert client.model_name == "file-model"
 
     monkeypatch.setenv("DAGPLAN_BASE_URL", "http://env")
     monkeypatch.setenv("DAGPLAN_MODEL", "env-model")
-    client = _resolve_client(namespace)
+    client = resolve()
     assert client.base_url == "http://env"
     assert client.model_name == "env-model"
 
-    namespace.base_url = "http://flag"
-    namespace.model = "flag-model"
-    client = _resolve_client(namespace)
+    client = resolve(base_url="http://flag", model="flag-model")
     assert client.base_url == "http://flag"
     assert client.model_name == "flag-model"
 
-    namespace.offline = True  # the offline flag beats everything
-    assert _resolve_client(namespace) is None
+    # the offline flag beats everything
+    assert resolve(base_url="http://flag", model="flag-model", offline=True) is None
 
 
 def test_curate_requires_planner(tmp_path, monkeypatch):
@@ -782,3 +789,77 @@ def test_run_trace_out_writes_trace_and_manifest(tmp_path, capsys):
     manifest = json.loads((tmp_path / "trace.json.manifest.json").read_text())
     assert manifest["subcommand"] == "run"
     assert manifest["config"]["query"] == "merge the reports"
+
+
+# --- manifests -----------------------------------------------------------------
+
+# Per subcommand: the argv of one run, and its output options; the first names
+# the file the manifest sits beside.
+MANIFEST_RUNS = {
+    "score": (["score", "--candidates", "{data}", "--golds", "{data}"], ["--out"]),
+    "eval": (["eval", "--predictions", "{data}", "--dataset", "{data}"], ["--out"]),
+    "gen": (["gen", "--offline", "--counts", "Easy=1"], ["--out"]),
+    "curate": (["curate", "--dataset", "{data}", "--fixture", "{cassette}"],
+               ["--out", "--train-out", "--test-out"]),
+    "exec": (["exec", "--plan", "{plan}"], ["--trace-out", "--dot"]),
+    "run": (["run", "--query", "merge the reports", "--candidates", ",".join(RUN_TOOLS),
+             "--fixture", "{cassette}"], ["--trace-out"]),
+}
+
+
+def manifest_inputs(tmp_path) -> dict[str, str]:
+    """The input files the MANIFEST_RUNS read; two cassettes with the same entries."""
+    records, _ = build_dataset(LIB, {"Easy": 2}, seed=6)
+    save_records(records, tmp_path / "data.jsonl")
+    plan = plan_text([("a", RUN_TOOLS[0]), ("b", RUN_TOOLS[1])], [("a", "b")])
+    entries = {fixture_key(replan_prompt("merge the reports", LIB.subset(tools))): plan
+               for tools in (RUN_TOOLS, RUN_TOOLS[:2])}
+    entries.update((fixture_key(replan_prompt(r.query, r.candidate_tools), i),
+                    serialize_plan(r.gold_plan)) for r in records for i in range(5))
+    for name in ("one.json", "two.json"):
+        save_cassette(entries, tmp_path / name)
+    return {"data": str(tmp_path / "data.jsonl"), "plan": write(tmp_path, "plan.json", VALID),
+            "cassette": str(tmp_path / "one.json"), "other_cassette": str(tmp_path / "two.json")}
+
+
+def manifest_of(tmp_path, argv, outputs, tag) -> dict:
+    """Run ``argv`` with each output option writing to a file named after ``tag``."""
+    paths = [str(tmp_path / f"{tag}-{i}.out") for i in range(len(outputs))]
+    assert main([*argv, *(arg for pair in zip(outputs, paths) for arg in pair)]) in (0, 1)
+    return json.loads(Path(paths[0] + ".manifest.json").read_text())
+
+
+@pytest.mark.parametrize("command, change", [
+    ("exec", ["--fail", "t2"]),
+    ("run", ["--fixture", "{other_cassette}"]),
+    ("run", ["--candidates", ",".join(RUN_TOOLS[:2])]),
+    ("gen", ["--synth-tools", "60"]),
+    ("curate", ["--fixture", "{other_cassette}"]),
+], ids=["exec-fail", "run-fixture", "run-candidates", "gen-synth-tools", "curate-fixture"])
+def test_manifest_config_hash_tells_apart_runs_that_differ_in_one_option(tmp_path, command, change):
+    inputs = manifest_inputs(tmp_path)
+    argv, outputs = MANIFEST_RUNS[command]
+    first = manifest_of(tmp_path, [a.format(**inputs) for a in argv], outputs, "first")
+    second = manifest_of(tmp_path, [a.format(**inputs) for a in argv + change], outputs, "second")
+    assert first["config_hash"] != second["config_hash"]
+
+
+@pytest.mark.parametrize("command", sorted(MANIFEST_RUNS))
+def test_manifest_config_is_the_parsed_options_but_the_output_paths(tmp_path, command):
+    inputs = manifest_inputs(tmp_path)
+    argv, outputs = MANIFEST_RUNS[command]
+    argv = [a.format(**inputs) for a in argv]
+    first, second = (manifest_of(tmp_path, argv, outputs, tag) for tag in ("first", "second"))
+    assert first["subcommand"] == command
+    assert first["config"] == second["config"]
+    assert first["config_hash"] == second["config_hash"]
+    assert not {"func", "command", "out", "trace_out", "dot", "train_out", "test_out"} & set(first["config"])
+
+
+def test_gen_manifest_records_the_resolved_counts_and_bands(tmp_path):
+    argv = ["gen", "--offline", "--counts", "easy=1", "--seed", "5"]
+    manifest = manifest_of(tmp_path, argv, ["--out"], "gen")
+    assert manifest["config"]["counts"] == {"Easy": 1}
+    assert manifest["config"]["difficulty_config"] == DifficultyConfig().to_dict()
+    assert manifest["config"]["synth_tools"] == 120
+    assert manifest["seed"] == 5

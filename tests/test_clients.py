@@ -120,6 +120,13 @@ def test_recording_client_builds_replayable_cassette(tmp_path):
     assert replay.complete("p2", seed=1) == "second"
 
 
+@pytest.mark.parametrize("text", ["caf\u00e9", "x\ud800y"])
+def test_saved_cassette_replays_every_response_exactly(tmp_path, text):
+    path = tmp_path / "cassette.json"
+    save_cassette({fixture_key("p"): text}, path)
+    assert FixtureClient(path).complete("p") == text
+
+
 # --- HTTP ---------------------------------------------------------------------
 
 

@@ -7,6 +7,7 @@ the reward module the pipeline's validity oracle.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -37,6 +38,7 @@ from dagplan import (
     synth_library,
     topo_order,
 )
+from dagplan.clients import FailingClient
 from dagplan.prompts import query_prompt, replan_prompt, workflow_prompt
 from helpers import make_plan, plan_text
 
@@ -404,6 +406,44 @@ def test_build_drops_a_record_whose_query_is_not_valid_unicode():
     assert stats.shortfall == {"Easy": 1}
 
 
+def test_build_drops_a_record_whose_author_raises_a_client_error():
+    counts = {"Easy": 2}
+    cassette = build_fixture_cassette(counts, seed=32)
+    candidates, plan = generate_workflow(LIB, "Easy", "32:Easy:0:0")
+    del cassette[fixture_key(workflow_prompt(LIB.subset(candidates), len(plan), "Easy"), 0)]
+    records, stats = build_dataset(LIB, counts, seed=32, client=FixtureClient(cassette),
+                                   max_attempts=1)
+    assert [r.record_id for r in records] == ["easy-00001"]
+    assert (stats.client_errors, stats.author_failures) == (1, 0)
+    assert stats.shortfall == {"Easy": 1}
+
+    records, stats = build_dataset(LIB, counts, seed=1, client=FailingClient(), max_attempts=3)
+    assert records == []
+    assert (stats.attempts, stats.client_errors) == (6, 6)
+    assert stats.shortfall == {"Easy": 2}
+
+
+def test_build_counts_an_exhausted_author_as_an_author_failure():
+    records, stats = build_dataset(LIB, {"Easy": 1}, seed=0, client=ScriptedClient(["not json"]),
+                                   max_attempts=2)
+    assert records == []
+    assert (stats.attempts, stats.author_failures, stats.client_errors) == (2, 2, 0)
+    assert stats.shortfall == {"Easy": 1}
+
+
+def test_build_counts_a_diverging_replan_as_a_rejected_replan():
+    counts = {"Easy": 2}
+    cassette = build_fixture_cassette(counts, seed=33)
+    candidates, _ = generate_workflow(LIB, "Easy", "33:Easy:0:0")
+    prompt = replan_prompt("Fixture query for Easy #0.", LIB.subset(candidates))
+    cassette[fixture_key(prompt)] = serialize_plan(make_plan([("a", candidates[0])], []))
+    records, stats = build_dataset(LIB, counts, seed=33, client=FixtureClient(cassette),
+                                   max_attempts=1)
+    assert [r.record_id for r in records] == ["easy-00001"]
+    assert (stats.rejected_replans, stats.unparseable_replans) == (1, 0)
+    assert stats.shortfall == {"Easy": 1}
+
+
 # --- record IO -------------------------------------------------------------------
 
 
@@ -432,3 +472,17 @@ def test_record_validate_catches_violations():
                           Provenance(generator="test"))
     with pytest.raises(ValueError, match="empty"):
         empty.validate()
+
+
+def test_record_validate_checks_difficulty_and_band():
+    (record,), _ = build_dataset(LIB, {"Easy": 1}, seed=2)
+    n_cand, n_req = len(record.candidate_tools), len(record.gold_plan)
+    record.validate(DifficultyConfig())
+    with pytest.raises(ValueError, match="unknown difficulty 'Extreme'"):
+        dataclasses.replace(record, difficulty="Extreme").validate()
+    too_few = DifficultyConfig({"Easy": Band((n_cand + 1, n_cand + 1), (1, n_req))})
+    with pytest.raises(ValueError, match=f"{n_cand} candidates outside band"):
+        record.validate(too_few)
+    too_many = DifficultyConfig({"Easy": Band((n_cand, n_cand), (n_req + 1, n_cand))})
+    with pytest.raises(ValueError, match=f"{n_req} required tools outside band"):
+        record.validate(too_many)
