@@ -487,7 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
     execution.add_argument("--fail", default="", help="comma-separated tool ids the mock fails")
     execution.add_argument("--policy", choices=("fail_fast", "continue"), default="fail_fast")
     execution.add_argument("--jobs", type=_int_at_least(1), default=None,
-                           help="cap on nodes in flight (default and maximum: 32)")
+                           help="cap on nodes in flight (default and maximum: 32; "
+                                "wider plans queue)")
     execution.add_argument("--trace-out")
 
     p = sub.add_parser("validate", parents=[self_loop], help="structurally check one plan file")
@@ -517,7 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--difficulty-config", help="JSON difficulty-band config file")
     p.add_argument("--mode", choices=("strict", "lenient"), default="strict")
     p.add_argument("--threshold", type=float, default=0.8)
-    p.add_argument("--jobs", type=_int_at_least(1), default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1,
+                   help="records built at once, in this thread and on the shared pool (at most 33)")
     p.add_argument("--resume", action="store_true",
                    help="append records whose ids are not already in --out")
     p.set_defaults(func=cmd_gen)
@@ -532,7 +534,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split-seed", type=int, default=None)
     p.add_argument("--train-out")
     p.add_argument("--test-out")
-    p.add_argument("--jobs", type=_int_at_least(1), default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1,
+                   help="tasks profiled at once: min(jobs x rollouts, 33) planner calls in flight, "
+                        "in this thread and on the shared pool")
     p.set_defaults(func=cmd_curate)
 
     p = sub.add_parser("exec", parents=[execution, self_loop],

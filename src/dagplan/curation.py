@@ -10,15 +10,15 @@ the survivors carry the learning signal.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
+# ThreadPoolExecutor and score_plan stay bound for perfbench's traced runs.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
-from itertools import chain, islice
 from typing import Any, Sequence
 
 from .clients import ClientError, CompletionClient
+from .executor import _map_jobs
 from .pipeline import DatasetRecord
 from .prompts import replan_prompt
-# score_plan stays bound for perfbench's traced runs.
 from .reward import REWARD_MAX, score_group, score_plan  # noqa: F401
 
 DEFAULT_BOUNDS = (0.0, 1.0)
@@ -46,20 +46,21 @@ def _profile(
     n: int,
     bounds: tuple[float, float],
     retries: int,
-    workers: int,
+    jobs: int,
 ) -> list[RolloutProfile | ClientError]:
-    """``profile_task`` for each record, in input order, on one pool of ``workers`` threads.
+    """``profile_task`` for each record, in input order, with at most
+    ``jobs * n`` planner calls in flight (``_map_jobs``: this thread plus
+    helpers from the executor's shared pool).
 
-    Pool threads only call the planner; this thread scores each record's group.
-    A record with a rollout that failed all ``retries`` attempts gets that
-    ClientError instead of a profile.
+    Records go through in windows of ``64 * jobs`` (64 rollouts per call in
+    flight), so one window's prompts and texts are held at once; this thread
+    scores each record's group once the window's rollouts are in.  A record
+    with a rollout that failed all ``retries`` attempts gets that ClientError
+    instead of a profile.
     """
     if n < 2:
         raise ValueError("rollout count must be >= 2")
     low, high = bounds
-    # Prompts are built as their slice is submitted, so one slice's prompts are held at a time.
-    prompts = (replan_prompt(r.query, r.candidate_tools) for r in records)
-    jobs = ((prompt, seed) for prompt in prompts for seed in range(n))
 
     def rollout(job: tuple[str, int]) -> str | ClientError:
         prompt, seed = job
@@ -72,17 +73,15 @@ def _profile(
         assert error is not None
         return error
 
-    # Submit 64 rollouts per worker at a time, so queued futures stay bounded,
-    # and score each record's group here as soon as its n texts are in.
-    step = 64 * workers
     profiles: list[RolloutProfile | ClientError] = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        slices = (pool.map(rollout, islice(jobs, step)) for _ in range(0, len(records) * n, step))
-        outcomes = chain.from_iterable(slices)
-        for record in records:
-            texts = list(islice(outcomes, n))
-            failure = next((t for t in texts if isinstance(t, ClientError)), None)
-            solves = 0 if failure else sum(b.value == REWARD_MAX for b in score_group(texts, record.gold_plan))
+    for start in range(0, len(records), 64 * jobs):
+        chunk = records[start:start + 64 * jobs]
+        prompts = [replan_prompt(r.query, r.candidate_tools) for r in chunk]
+        texts = _map_jobs(rollout, [(prompt, seed) for prompt in prompts for seed in range(n)], jobs * n)
+        for i, record in enumerate(chunk):
+            group = texts[i * n:(i + 1) * n]
+            failure = next((t for t in group if isinstance(t, ClientError)), None)
+            solves = 0 if failure else sum(b.value == REWARD_MAX for b in score_group(group, record.gold_plan))
             profiles.append(failure or RolloutProfile(record.record_id, n, solves, low < solves / n < high))
     return profiles
 
@@ -95,14 +94,14 @@ def profile_task(
     bounds: tuple[float, float] = DEFAULT_BOUNDS,
     retries: int = CLIENT_RETRIES,
 ) -> RolloutProfile:
-    """Issue n concurrent plan rollouts for one task and count exact solutions.
+    """Request n plan rollouts for one task, up to n at once, and count exact solutions.
 
     Rollout i passes seed=i to the planner as the diversity knob, so replay
     fixtures are deterministic regardless of scheduling, and the solve count
     is order-independent.  ClientError propagates after ``retries`` attempts
     per rollout; the caller decides what an unprofiled task means.
     """
-    (profile,) = _profile([record], planner, n, bounds, retries, n)
+    (profile,) = _profile([record], planner, n, bounds, retries, 1)
     if isinstance(profile, ClientError):
         raise profile
     return profile
@@ -147,12 +146,13 @@ def curate(
     """Order-preserving filter of ``records`` down to the frontier tasks.
 
     Tasks whose planner calls keep failing are excluded as unprofiled rather
-    than retried forever.  All rollouts share one pool of ``jobs * n`` threads
-    and results keep input order, so ``jobs`` does not change the outcome.
+    than retried forever.  At most ``jobs * n`` rollouts are in flight (and
+    never more than the executor's ``MAX_WORKERS`` + 1), and results keep
+    input order, so ``jobs`` does not change the outcome.
     """
     low, high = bounds
     stats = CurationStats(input_count=len(records), bounds=bounds, rollouts=n)
-    profiles = _profile(records, planner, n, bounds, retries, max(jobs, 1) * n)
+    profiles = _profile(records, planner, n, bounds, retries, max(jobs, 1))
 
     kept_records: list[DatasetRecord] = []
     for record, profile in zip(records, profiles):

@@ -4,11 +4,12 @@ Each node waits for a count of unfinished predecessors; when it reaches zero
 the node is ready, and a ready node starts as soon as a slot is free, the
 earliest in topological order first.  The calling thread runs ready nodes
 itself, and for each further ready node asks one thread pool, shared by every
-``execute`` in the process and created on first use with ``MAX_WORKERS`` (32)
-threads, for a helper that runs ready nodes the same way; no call starts
-threads of its own.  A plan of fast tools thus runs mostly in the calling
-thread, which waits on another thread only for a node that thread is running,
-while slow tools run side by side on the helpers.  Outputs are materialized
+``execute`` in the process (and by ``curate`` and ``build_dataset``, through
+``_map_jobs``) and created on first use with ``MAX_WORKERS`` (32) threads, for
+a helper that runs ready nodes the same way; no call starts threads of its
+own, and a plan wider than 32 nodes queues.  A plan of fast tools thus runs
+mostly in the calling thread, which waits on another thread only for a node
+that thread is running, while slow tools run side by side on the helpers.  Outputs are materialized
 before dependents start, and argument values of the form
 ``"$<node-id>.<field-path>"`` are resolved from predecessor outputs (a leading
 ``$$`` escapes a literal dollar sign).  An edge carrying no reference is a
@@ -375,10 +376,10 @@ MAX_WORKERS = 32
 
 class _Helpers:
     """The process-wide pool of ``MAX_WORKERS`` threads and the calls that want
-    its help, one entry per ready node that no thread has taken.  A helper
-    serves whichever call asks when it starts, so one left over from a call
-    that finished on its own serves the next call instead of another being
-    woken."""
+    its help, one entry per ready node or job that no thread has taken.  A
+    helper serves whichever call asks when it starts, so one left over from a
+    call that finished on its own serves the next call instead of another
+    being woken."""
 
     def __init__(self) -> None:
         self.pool = ThreadPoolExecutor(MAX_WORKERS, thread_name_prefix="dagplan-execute")
@@ -419,6 +420,62 @@ def _shared_helpers() -> _Helpers:
     pool never started a thread)."""
     pid = os.getpid()
     return _helpers.get(pid) or _helpers.setdefault(pid, _Helpers())
+
+
+def _map_jobs(fn: Callable[[Any], Any], items: Sequence[Any], workers: int) -> list[Any]:
+    """``[fn(item) for item in items]``, with at most ``workers`` (capped at
+    ``MAX_WORKERS`` + 1) calls in flight: the calling thread and helpers asked
+    from the shared pool take items in input order, as ``execute`` runs nodes.
+    An exception stops further items from starting; once those in flight have
+    finished, the one from the earliest item is raised."""
+    workers = min(max(workers, 1), MAX_WORKERS + 1)
+    results: list[Any] = [None] * len(items)
+    failures: dict[int, BaseException] = {}
+    taken = 0    # items some thread has started
+    running = 0  # items in flight, on any thread
+    asked = 0    # asks for a helper that no helper has taken yet
+    state = threading.Condition(threading.Lock())  # guards the above; the caller waits on it
+    context = contextvars.copy_context()
+
+    def work() -> None:
+        """Run items until none is left or no slot is free, with ``state``
+        held, released around each call."""
+        nonlocal taken, running, asked
+        while taken < len(items) and running < workers and not failures:
+            index = taken
+            taken += 1
+            running += 1
+            more = min(len(items) - taken, workers - running) - asked
+            if more > 0:
+                asked += more
+                _shared_helpers().ask(helper, more)
+            state.release()
+            try:
+                results[index] = fn(items[index])
+            except BaseException as exc:
+                failures[index] = exc
+            state.acquire()
+            running -= 1
+            state.notify()
+
+    def helper() -> None:
+        nonlocal asked
+        with state:
+            asked -= 1
+            context.copy().run(work)
+
+    # As in ``execute``: the caller waits only for items in flight, never for a
+    # helper to start, so a job that maps jobs of its own cannot deadlock the pool.
+    with state:
+        work()
+        while running or (taken < len(items) and not failures):
+            state.wait()
+            work()
+        if asked:
+            _shared_helpers().withdraw(helper)
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 def execute(
@@ -477,7 +534,11 @@ def execute(
         except Exception as exc:  # an untrusted registry's failure is this node's failure
             if policy == "fail_fast":
                 halted = True
-            error = str(exc) if isinstance(exc, ToolError) else f"{type(exc).__name__}: {exc}"
+            try:
+                message = str(exc)
+            except Exception:  # an exception's own __str__ is registry code too
+                message = f"<unprintable {type(exc).__name__}>"
+            error = message if isinstance(exc, ToolError) else f"{type(exc).__name__}: {message}"
             return NodeResult(nid, node.tool, wave_of[nid], "failed", error=error,
                               started=start, finished=time.perf_counter())
 

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Collection, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .catalog import ToolLibrary, ToolSpec
 from .clients import ClientError, CompletionClient, EmptyResponseError
+from .executor import _map_jobs
 from .metrics import score_pair
 from .plan import (
     FormatError,
@@ -531,10 +531,12 @@ def build_dataset(
 ) -> tuple[list[DatasetRecord], BuildStats]:
     """Run the pipeline for the requested per-difficulty counts.
 
-    Only accepted records are returned, ordered by (difficulty, index)
-    regardless of worker completion order.  Deterministic given a seed and a
-    replay-fixture client.  BandUnsatisfiable propagates (the config is
-    wrong); per-record failures are absorbed into the stats.
+    Records are built ``jobs`` at a time (``_map_jobs``: the calling thread
+    plus helpers from the executor's shared pool, 33 at most).  Only accepted
+    records are returned, ordered by (difficulty, index) regardless of
+    completion order.  Deterministic given a seed and a replay-fixture
+    client.  BandUnsatisfiable propagates (the config is wrong); per-record
+    failures are absorbed into the stats.
     """
     config = config or DifficultyConfig()
     for difficulty in counts:
@@ -595,14 +597,8 @@ def build_dataset(
             ), local
         return None, local
 
-    if jobs > 1 and tasks:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run, tasks))
-    else:
-        outcomes = [run(task) for task in tasks]
-
     records: list[DatasetRecord] = []
-    for (difficulty, _), (record, local) in zip(tasks, outcomes):
+    for (difficulty, _), (record, local) in zip(tasks, _map_jobs(run, tasks, jobs)):
         stats.merge_counts(local)
         if record is None:
             stats.shortfall[difficulty] = stats.shortfall.get(difficulty, 0) + 1

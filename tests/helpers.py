@@ -8,8 +8,34 @@ from __future__ import annotations
 
 import json
 import random
+import threading
+import time
 
-from dagplan import PlanEdge, PlanGraph, PlanNode
+from dagplan import CompletionClient, PlanEdge, PlanGraph, PlanNode
+
+
+class PeakClient(CompletionClient):
+    """Wraps a client: each call sleeps ``delay`` seconds first, and ``peak``
+    is the most calls ever in flight at once."""
+
+    def __init__(self, inner: CompletionClient, delay: float = 0.005):
+        self.inner = inner
+        self.model_name = inner.model_name
+        self.delay = delay
+        self.active = 0
+        self.peak = 0
+        self._lock = threading.Lock()
+
+    def complete(self, prompt: str, *, seed: int | None = None) -> str:
+        with self._lock:
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+        try:
+            time.sleep(self.delay)
+            return self.inner.complete(prompt, seed=seed)
+        finally:
+            with self._lock:
+                self.active -= 1
 
 
 def plan_text(nodes, edges) -> str:

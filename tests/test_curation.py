@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 
 import pytest
 
@@ -11,9 +12,11 @@ from dagplan import (
     ClientError,
     CompletionClient,
     FixtureClient,
+    MockRegistry,
     ScriptedClient,
     build_dataset,
     curate,
+    execute,
     fixture_key,
     profile_task,
     serialize_plan,
@@ -21,7 +24,10 @@ from dagplan import (
     synth_library,
 )
 from dagplan.clients import FailingClient
+from dagplan.executor import MAX_WORKERS
 from dagplan.prompts import replan_prompt
+
+from helpers import PeakClient, fan_out_plan
 
 LIB = synth_library(40, seed=13)
 RECORDS, _ = build_dataset(LIB, {"Easy": 6}, seed=8)
@@ -208,31 +214,71 @@ def test_split_rejects_bad_fraction():
         split_train_test(RECORDS, seed=0, test_fraction=1.5)
 
 
-# --- one rollout pool per call ---------------------------------------------------
+# --- rollouts in flight: the calling thread plus helpers from one shared pool ----
 
 
 FRONTIER_PATTERNS = [[1, 0, 0, 0, 0], [0, 0, 0, 0, 0], [1, 1, 1, 1, 1], [0, 1, 0, 1, 1]]
+MANY_RECORDS, _ = build_dataset(LIB, {"Easy": 24}, seed=4)
 
 
-@pytest.mark.parametrize("jobs", [1, 2, 4])
-def test_each_call_builds_exactly_one_pool(monkeypatch, jobs):
-    from dagplan import curation
+def test_curate_runs_jobs_times_n_rollouts_at_once():
+    planner = PeakClient(ScriptedClient([BAD_PLAN]))
+    curate(MANY_RECORDS, planner, 5, jobs=2)
+    assert planner.peak == 10
 
-    sizes = []
 
-    class CountingPool(curation.ThreadPoolExecutor):
-        def __init__(self, max_workers=None, *args, **kwargs):
-            super().__init__(max_workers, *args, **kwargs)
-            sizes.append(max_workers)
+def test_profile_task_runs_its_n_rollouts_at_once():
+    planner = PeakClient(ScriptedClient([BAD_PLAN]))
+    profile_task(RECORDS[0], planner, 5)
+    assert planner.peak == 5
 
-    monkeypatch.setattr(curation, "ThreadPoolExecutor", CountingPool)
-    records = RECORDS[:4]
-    planner = FixtureClient(solve_cassette(records, FRONTIER_PATTERNS))
-    curate(records, planner, 5, jobs=jobs)
-    assert sizes == [jobs * 5]
-    sizes.clear()
-    profile_task(records[0], planner, 5)
-    assert sizes == [5]
+
+def test_curate_in_flight_rollouts_are_capped_by_the_shared_pool():
+    planner = PeakClient(ScriptedClient([BAD_PLAN]))
+    curate(MANY_RECORDS, planner, 8, jobs=10)  # 80 wanted, 192 rollouts
+    assert planner.peak <= MAX_WORKERS + 1
+
+
+def test_repeated_curate_calls_start_no_threads():
+    outside = [t for t in threading.enumerate() if not t.name.startswith("dagplan-execute")]
+    planner = ScriptedClient([BAD_PLAN])
+    curate(MANY_RECORDS, planner, 8, jobs=10)  # asks the shared pool for all of its helpers
+    live = threading.active_count()
+    assert live <= len(outside) + MAX_WORKERS
+    for _ in range(3):
+        curate(MANY_RECORDS, planner, 8, jobs=10)
+        assert threading.active_count() == live
+
+
+def test_nested_execute_and_profile_task_finish_while_every_helper_is_busy():
+    # 64 rollouts at jobs=10 x n=8 take every helper; each rollout runs
+    # execute, and one of its tools runs profile_task.  Neither waits for a
+    # helper to start, so both run their work in their own thread.
+    inner = ScriptedClient([BAD_PLAN])
+
+    class ProfilingRegistry(MockRegistry):
+        def invoke(self, tool_id, args):
+            if tool_id == "t1":
+                assert profile_task(RECORDS[0], inner, 3).solves == 0
+            return super().invoke(tool_id, args)
+
+    registry = ProfilingRegistry(latency=0.002)
+
+    class ExecutingPlanner(CompletionClient):
+        model_name = "executing"
+
+        def complete(self, prompt, *, seed=None):
+            assert execute(fan_out_plan(3), registry).ok()
+            return BAD_PLAN
+
+    outcome = []
+    caller = threading.Thread(
+        target=lambda: outcome.append(curate(MANY_RECORDS[:8], ExecutingPlanner(), 8, jobs=10)),
+        daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert outcome[0][1].histogram == {"0/8": 8}
 
 
 def test_client_errors_unprofile_only_their_own_record():
@@ -267,6 +313,6 @@ def test_rollouts_spanning_several_submission_slices_keep_their_records():
     records, _ = build_dataset(LIB, {"Easy": 150}, seed=21)
     patterns = [[(k + i) % 3 == 0 for i in range(2)] for k in range(len(records))]
     planner = FixtureClient(solve_cassette(records, patterns, n=2))
-    _, stats = curate(records, planner, 2, jobs=1)  # 300 rollouts, submitted 128 at a time
+    _, stats = curate(records, planner, 2, jobs=1)  # 300 rollouts, 128 per window
     assert stats.profiles == [profile_task(r, planner, 2) for r in records]
     assert stats.histogram == {"0/2": 50, "1/2": 100}

@@ -12,6 +12,7 @@ import json
 import os
 import random
 import signal
+import sys
 import threading
 import time
 import tracemalloc
@@ -37,7 +38,7 @@ from dagplan import (
     serialize_plan,
     trace_to_dot,
 )
-from dagplan.executor import MAX_WORKERS, preflight
+from dagplan.executor import MAX_WORKERS, _map_jobs, preflight
 from helpers import chain_plan, fan_out_plan, make_plan, random_gold
 
 
@@ -672,3 +673,55 @@ def test_a_forked_child_builds_its_own_pool():
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
     assert done and os.waitstatus_to_exitcode(status) == 0
+
+
+# --- _map_jobs: independent jobs in the calling thread and on the shared pool ----
+
+
+@pytest.mark.parametrize("workers", [1, 3, 100])
+def test_map_jobs_runs_each_item_once_in_input_order_under_frequent_switches(workers):
+    lock = threading.Lock()
+    runs: dict[int, int] = {}
+    threads = set()
+    active = peak = 0
+
+    def job(i):
+        nonlocal active, peak
+        with lock:
+            runs[i] = runs.get(i, 0) + 1
+            threads.add(threading.get_ident())
+            active += 1
+            peak = max(peak, active)
+        time.sleep(0.0001 * (i % 3))
+        with lock:
+            active -= 1
+        return i * i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        results = _map_jobs(job, list(range(600)), workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [i * i for i in range(600)]
+    assert runs == {i: 1 for i in range(600)}
+    assert peak <= min(workers, MAX_WORKERS + 1)
+    if workers == 1:
+        assert threads == {threading.get_ident()}
+
+
+def test_map_jobs_raises_the_earliest_failure_and_starts_nothing_after_it():
+    started = []
+
+    def job(i):
+        started.append(i)
+        time.sleep(0.01)
+        if i in (3, 5):
+            raise ValueError(i)
+        return i
+
+    with pytest.raises(ValueError) as err:
+        _map_jobs(job, list(range(40)), 4)
+    assert err.value.args == (3,)
+    assert len(started) < 40
+    assert _map_jobs(job, [], 4) == []

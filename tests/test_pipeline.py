@@ -40,7 +40,7 @@ from dagplan import (
 )
 from dagplan.clients import FailingClient
 from dagplan.prompts import query_prompt, replan_prompt, workflow_prompt
-from helpers import make_plan, plan_text
+from helpers import PeakClient, make_plan, plan_text
 
 LIB = synth_library(80, seed=42)
 
@@ -372,6 +372,14 @@ def test_build_with_fixture_client_runs_all_three_stages():
         record.validate(DifficultyConfig())
     again, _ = build_dataset(LIB, counts, seed=17, client=FixtureClient(cassette))
     assert [r.gold_plan for r in again] == [r.gold_plan for r in records]
+
+
+def test_build_runs_jobs_records_at_once():
+    counts = {"Easy": 12}
+    client = PeakClient(FixtureClient(build_fixture_cassette(counts, seed=18)))
+    records, _ = build_dataset(LIB, counts, seed=18, client=client, jobs=4)
+    assert len(records) == 12
+    assert client.peak == 4
 
 
 def test_build_absorbs_rejections_into_stats():

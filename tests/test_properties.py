@@ -2,18 +2,22 @@
 
 ``topo_order`` is compared with a Kahn's algorithm written here, and
 ``preflight``'s reference check with ancestor sets computed here by a walk up
-the test's own edge list.
+the test's own edge list.  ``execute`` records whatever exception a registry
+raises as its node's failure.
 """
 
 from __future__ import annotations
 
+import builtins
 import heapq
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dagplan import CycleError, MockRegistry, PlanEdge, PlanGraph, PlanNode, detect_cycle, topo_order
+from dagplan import (
+    CycleError, MockRegistry, PlanEdge, PlanGraph, PlanNode, ToolError, detect_cycle, execute, topo_order,
+)
 from dagplan.executor import PreflightError, preflight
 
 MAX_NODES = 8
@@ -111,3 +115,61 @@ def test_preflight_accepts_a_reference_exactly_when_it_names_an_ancestor(graph, 
             preflight(g, MockRegistry())
         assert str(err.value) == (f"node {node_id(i)!r} references {node_id(target)!r}, "
                                   "which is not a predecessor")
+
+
+def _takes_a_message(cls: type) -> bool:
+    try:
+        cls("boom")
+    except Exception:
+        return False
+    return True
+
+
+class Unprintable(Exception):
+    def __str__(self) -> str:
+        raise ValueError("no message")
+
+
+EXCEPTION_TYPES = sorted(
+    (c for c in vars(builtins).values()
+     if isinstance(c, type) and issubclass(c, Exception) and _takes_a_message(c)),
+    key=lambda c: c.__name__) + [ToolError, Unprintable]
+
+
+@st.composite
+def registry_exceptions(draw) -> Exception:
+    """An instance of a builtin Exception type, ToolError or one whose
+    ``__str__`` raises, or of a subclass of one of them with a drawn name."""
+    cls = draw(st.sampled_from(EXCEPTION_TYPES))
+    if draw(st.booleans()):
+        cls = type(draw(st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,11}", fullmatch=True)), (cls,), {})
+    return cls(draw(st.text(max_size=12)))
+
+
+class RaisingRegistry(MockRegistry):
+    def __init__(self, exc: Exception, tool: str):
+        super().__init__()
+        self.exc, self.tool = exc, tool
+
+    def invoke(self, tool_id, args):
+        if tool_id == self.tool:
+            raise self.exc
+        return super().invoke(tool_id, args)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_lists(acyclic=True), registry_exceptions(), st.data())
+def test_a_registry_exception_fails_its_node_and_is_never_raised(graph, exc, data):
+    n, edges = graph
+    i = data.draw(st.integers(0, n - 1))
+    policy = data.draw(st.sampled_from(["fail_fast", "continue"]))
+    trace = execute(build(n, edges), RaisingRegistry(exc, f"t{i}"), policy)
+    result = trace.nodes[node_id(i)]
+    assert result.status == "failed"
+    name = type(exc).__name__
+    if isinstance(exc, ToolError):
+        assert result.error == str(exc)
+    elif isinstance(exc, Unprintable):
+        assert result.error == f"{name}: <unprintable {name}>"
+    else:
+        assert result.error == f"{name}: {exc}"
