@@ -2,14 +2,15 @@
 
 Each node waits for a count of unfinished predecessors; when it reaches zero
 the node is ready, and a ready node starts as soon as a slot is free, the
-earliest in topological order first.  The calling thread runs ready nodes
-itself, and for each further ready node asks one thread pool, shared by every
-``execute`` in the process (and by ``curate`` and ``build_dataset``, through
-``_map_jobs``) and created on first use with ``MAX_WORKERS`` (32) threads, for
-a helper that runs ready nodes the same way; no call starts threads of its
-own, and a plan wider than 32 nodes queues.  A plan of fast tools thus runs
-mostly in the calling thread, which waits on another thread only for a node
-that thread is running, while slow tools run side by side on the helpers.  Outputs are materialized
+earliest in topological order first.  One private loop, ``_drive``, schedules
+both the nodes of ``execute`` and the jobs of ``_map_jobs`` (which ``curate``
+and ``build_dataset`` use): the calling thread runs ready entries itself, and
+for each further ready entry asks one thread pool, shared by the whole process
+and created on first use with ``MAX_WORKERS`` (32) threads, for a helper that
+runs them the same way; no call starts threads of its own, and a plan wider
+than 32 nodes queues.  A plan of fast tools thus runs mostly in the calling
+thread, which waits on another thread only for a node that thread is running,
+while slow tools run side by side on the helpers.  Outputs are materialized
 before dependents start, and argument values of the form
 ``"$<node-id>.<field-path>"`` are resolved from predecessor outputs (a leading
 ``$$`` escapes a literal dollar sign).  An edge carrying no reference is a
@@ -422,41 +423,39 @@ def _shared_helpers() -> _Helpers:
     return _helpers.get(pid) or _helpers.setdefault(pid, _Helpers())
 
 
-def _map_jobs(fn: Callable[[Any], Any], items: Sequence[Any], workers: int) -> list[Any]:
-    """``[fn(item) for item in items]``, with at most ``workers`` (capped at
-    ``MAX_WORKERS`` + 1) calls in flight: the calling thread and helpers asked
-    from the shared pool take items in input order, as ``execute`` runs nodes.
-    An exception stops further items from starting; once those in flight have
-    finished, the one from the earliest item is raised."""
-    workers = min(max(workers, 1), MAX_WORKERS + 1)
-    results: list[Any] = [None] * len(items)
-    failures: dict[int, BaseException] = {}
-    taken = 0    # items some thread has started
-    running = 0  # items in flight, on any thread
+def _drive(ready: list[int], run: Callable[[int], Any], done: Callable[[int, Any], None],
+           slots: int, stopped: Callable[[], bool]) -> None:
+    """The one caller-runs loop: run the entries of the heap ``ready``, smallest
+    first and at most ``slots`` at once, in the calling thread and in helpers
+    asked from the shared pool while more are ready (each in a copy of the
+    caller's context), until none is ready or in flight.  ``done(i, run(i))``
+    runs under the loop's lock and may push more entries; none starts once
+    ``stopped()`` holds.  The caller waits only for entries in flight, never
+    for a helper to start, so a loop driven from the pool cannot deadlock it."""
+    running = 0  # entries in flight, on any thread
     asked = 0    # asks for a helper that no helper has taken yet
-    state = threading.Condition(threading.Lock())  # guards the above; the caller waits on it
+    state = threading.Condition(threading.Lock())  # guards the above and ``ready``
     context = contextvars.copy_context()
 
     def work() -> None:
-        """Run items until none is left or no slot is free, with ``state``
-        held, released around each call."""
-        nonlocal taken, running, asked
-        while taken < len(items) and running < workers and not failures:
-            index = taken
-            taken += 1
+        """Run ready entries until none is ready or no slot is free, with
+        ``state`` held, released around each ``run``."""
+        nonlocal running, asked
+        while ready and running < slots and not stopped():
+            index = heapq.heappop(ready)
             running += 1
-            more = min(len(items) - taken, workers - running) - asked
+            more = min(len(ready), slots - running) - asked
             if more > 0:
                 asked += more
                 _shared_helpers().ask(helper, more)
             state.release()
             try:
-                results[index] = fn(items[index])
-            except BaseException as exc:
-                failures[index] = exc
-            state.acquire()
-            running -= 1
-            state.notify()
+                result = run(index)
+            finally:
+                state.acquire()
+                running -= 1
+                state.notify()
+            done(index, result)
 
     def helper() -> None:
         nonlocal asked
@@ -464,15 +463,32 @@ def _map_jobs(fn: Callable[[Any], Any], items: Sequence[Any], workers: int) -> l
             asked -= 1
             context.copy().run(work)
 
-    # As in ``execute``: the caller waits only for items in flight, never for a
-    # helper to start, so a job that maps jobs of its own cannot deadlock the pool.
     with state:
         work()
-        while running or (taken < len(items) and not failures):
+        while running or (ready and not stopped()):
             state.wait()
             work()
         if asked:
             _shared_helpers().withdraw(helper)
+
+
+def _map_jobs(fn: Callable[[Any], Any], items: Sequence[Any], workers: int) -> list[Any]:
+    """``[fn(item) for item in items]`` through ``_drive``, with at most
+    ``workers`` (capped at ``MAX_WORKERS`` + 1) calls in flight, taken in input
+    order by the calling thread and helpers from the shared pool.  An exception
+    stops further items from starting; once those in flight have finished,
+    the one from the earliest item is raised."""
+    results: list[Any] = [None] * len(items)
+    failures: dict[int, BaseException] = {}
+
+    def run(index: int) -> Any:
+        try:
+            return fn(items[index])
+        except BaseException as exc:
+            failures[index] = exc
+
+    _drive(list(range(len(items))), run, results.__setitem__,
+           min(max(workers, 1), MAX_WORKERS + 1), lambda: bool(failures))
     if failures:
         raise failures[min(failures)]
     return results
@@ -487,15 +503,17 @@ def execute(
 ) -> ExecutionTrace:
     """Run the plan over the registry, each node as soon as its predecessors finish.
 
-    ``max_workers`` caps this call's nodes in flight, the calling thread's
-    included (1 reproduces a sequential replay in topological order in the
-    calling thread); None, or a value above the shared pool's ``MAX_WORKERS``
-    = 32 threads, means 32.  Under ``fail_fast`` no node starts after the
-    first failure.  Per-node failures are recorded, never raised: a
-    ToolError, a reference into upstream output that does not exist, or any
-    other exception the registry raises (its ``error`` then names the
-    exception type).  Structural problems raise PreflightError before
-    anything runs; ``max_workers`` below 1 raises ValueError.
+    Nodes are ``_drive``'s entries, by topological position; a node whose
+    predecessor failed or was skipped is skipped when it would become ready,
+    without taking a slot.  ``max_workers`` caps this call's nodes in flight,
+    the calling thread's included (1 reproduces a sequential replay in
+    topological order in the calling thread); None, or a value above the
+    shared pool's ``MAX_WORKERS`` = 32 threads, means 32.  Under ``fail_fast``
+    no node starts after the first failure.  Per-node failures are recorded,
+    never raised: a ToolError, a reference into upstream output that does not
+    exist, or any other exception the registry raises (its ``error`` then
+    names the exception type).  Structural problems raise PreflightError
+    before anything runs; ``max_workers`` below 1 raises ValueError.
     """
     if policy not in ("fail_fast", "continue"):
         raise ValueError(f"policy must be 'fail_fast' or 'continue', got {policy!r}")
@@ -504,23 +522,19 @@ def execute(
     order = preflight(plan, registry)
     wave_of = _static_waves(plan, order)
     position = {nid: i for i, nid in enumerate(order)}
-    slots = min(max_workers or MAX_WORKERS, MAX_WORKERS)
     unfinished = {nid: len(plan.predecessors[nid]) for nid in order}
     ready = [i for i, nid in enumerate(order) if not unfinished[nid]]  # sorted, so a heap
-    running = 0  # nodes in flight, on any thread
-    asked = 0    # asks for a helper that no helper has taken yet
-    state = threading.Condition(threading.Lock())  # guards the above; the caller waits on it
     results: dict[str, NodeResult] = {}
     outputs: dict[str, Any] = {}
     halted = False  # set by the first failure under fail_fast
-    context = contextvars.copy_context()
     started_at = time.perf_counter()
 
     def skipped(nid: str) -> NodeResult:
         return NodeResult(nid, plan.node_index[nid].tool, wave_of[nid], "skipped")
 
-    def run_node(nid: str) -> NodeResult:
+    def run_node(index: int) -> NodeResult:
         nonlocal halted
+        nid = order[index]
         node = plan.node_index[nid]
         start = time.perf_counter()
         # Checked after taking ``start``, and set before taking ``finished``, so
@@ -542,54 +556,25 @@ def execute(
             return NodeResult(nid, node.tool, wave_of[nid], "failed", error=error,
                               started=start, finished=time.perf_counter())
 
-    def settle(nid: str, result: NodeResult) -> None:
-        results[nid] = result
-        if result.status == "ok":
-            outputs[nid] = result.output
-        for succ in plan.successors[nid]:
-            unfinished[succ] -= 1
-            if not unfinished[succ]:
-                heapq.heappush(ready, position[succ])
+    def settle(index: int, result: NodeResult) -> None:
+        """Record a result and push each successor it leaves ready; one with a
+        failed or skipped predecessor is skipped and settled in turn."""
+        stack = [result]  # not recursion: a skipped chain may be long
+        while stack:
+            result = stack.pop()
+            nid = result.node_id
+            results[nid] = result
+            if result.status == "ok":
+                outputs[nid] = result.output
+            for succ in plan.successors[nid]:
+                unfinished[succ] -= 1
+                if not unfinished[succ]:
+                    if any(results[p].status != "ok" for p in plan.predecessors[succ]):
+                        stack.append(skipped(succ))
+                    else:
+                        heapq.heappush(ready, position[succ])
 
-    def work() -> None:
-        """Run ready nodes, earliest in topological order first, until none is
-        ready or no slot is free; the caller and every helper run this with
-        ``state`` held, and release it around each node."""
-        nonlocal running, asked
-        while ready and running < slots and not halted:
-            nid = order[heapq.heappop(ready)]
-            if any(results[p].status != "ok" for p in plan.predecessors[nid]):
-                settle(nid, skipped(nid))
-                continue
-            running += 1
-            more = min(len(ready), slots - running) - asked
-            if more > 0:
-                asked += more
-                _shared_helpers().ask(helper, more)
-            state.release()
-            try:
-                result = run_node(nid)
-            finally:
-                state.acquire()
-                running -= 1
-                state.notify()
-            settle(nid, result)
-
-    def helper() -> None:
-        nonlocal asked
-        with state:
-            asked -= 1
-            context.copy().run(work)  # tools see the caller's context variables
-
-    # The caller never waits for a helper to start, only for nodes in flight,
-    # so a plan executed from a tool on the pool cannot deadlock it.
-    with state:
-        work()
-        while running or (ready and not halted):
-            state.wait()
-            work()
-        if asked:
-            _shared_helpers().withdraw(helper)
+    _drive(ready, run_node, settle, min(max_workers or MAX_WORKERS, MAX_WORKERS), lambda: halted)
 
     by_wave = sorted(order, key=lambda n: (wave_of[n], n))
     ordered = {nid: results.get(nid) or skipped(nid) for nid in by_wave}

@@ -239,6 +239,9 @@ class ValidationReport:
 # counting as level 1.  Serialization, equality and the executor's reference
 # resolution all recurse over args, so deeper values are syntax failures.
 MAX_ARGS_DEPTH = 100
+# Most nodes a plan may hold; preflight's reference check grows with the
+# square of the plan, so larger plans are syntax failures too.
+MAX_PLAN_NODES = 1000
 
 
 class FormatError(ValueError):
@@ -348,10 +351,10 @@ def plan_from_doc(doc: Any, *, self_loops: str = "reject") -> PlanGraph:
     ``self_loops`` is ``"reject"`` (a self-edge is a syntax failure, the
     default) or ``"cycle"`` (keep it so the cycle check reports it instead).
     Raises PlanSyntaxError for a non-object document, missing/ill-typed
-    fields, args nested deeper than ``MAX_ARGS_DEPTH`` levels, or a graph
-    that breaks a PlanGraph invariant (duplicate node ids, two nodes sharing a
-    tool, edge endpoints that name no node).  Repeated (from, to) pairs
-    collapse to one edge.
+    fields, more than ``MAX_PLAN_NODES`` nodes, args nested deeper than
+    ``MAX_ARGS_DEPTH`` levels, or a graph that breaks a PlanGraph invariant
+    (duplicate node ids, two nodes sharing a tool, edge endpoints that name
+    no node).  Repeated (from, to) pairs collapse to one edge.
     """
     if self_loops not in ("reject", "cycle"):
         raise ValueError(f"self_loops must be 'reject' or 'cycle', got {self_loops!r}")
@@ -363,6 +366,8 @@ def plan_from_doc(doc: Any, *, self_loops: str = "reject") -> PlanGraph:
     raw_edges = doc.get("edges", [])
     if not isinstance(raw_nodes, list):
         raise PlanSyntaxError('"nodes" is not an array')
+    if len(raw_nodes) > MAX_PLAN_NODES:
+        raise PlanSyntaxError(f"plan has {len(raw_nodes)} nodes, more than {MAX_PLAN_NODES}")
     if not isinstance(raw_edges, list):
         raise PlanSyntaxError('"edges" is not an array')
 

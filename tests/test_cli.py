@@ -437,6 +437,17 @@ def test_exec_unparseable_plan_is_io_error(tmp_path):
     assert main(["exec", "--plan", plan_file]) == 2
 
 
+def test_exec_plan_over_the_node_limit_is_io_error(tmp_path, capsys):
+    # Node i references node i // 2: each far reference costs preflight a walk.
+    n = 3000
+    nodes = [(f"n{i}", f"t{i}", {"x": f"$n{i // 2}.digest"} if i else {}) for i in range(n)]
+    plan = plan_text(nodes, [(f"n{i}", f"n{i + 1}") for i in range(n - 1)])
+    assert main(["exec", "--plan", write(tmp_path, "plan.json", plan)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "3000 nodes, more than 1000" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["exec", "--jobs", "0"],
     ["exec", "--jobs", "-1"],
@@ -469,6 +480,19 @@ def test_run_with_fixture_planner(tmp_path, capsys):
     out, err = capsys.readouterr()
     doc = json.loads(out)
     assert set(doc) == {"b", "c"}
+    assert "inference_steps=1" in err
+
+
+def test_run_without_candidates_offers_the_whole_library(tmp_path, capsys):
+    tools = ["cat0.tool0", "cat0.tool1"]
+    plan = make_plan([("a", tools[0]), ("b", tools[1])], [("a", "b")])
+    prompt = replan_prompt("merge the reports", LIB.subset(LIB.ids()))
+    cassette = tmp_path / "cassette.json"
+    save_cassette({fixture_key(prompt): serialize_plan(plan)}, cassette)
+    assert main(["run", "--query", "merge the reports", "--fixture", str(cassette),
+                 "--synth-tools", "120"]) == 0
+    out, err = capsys.readouterr()
+    assert set(json.loads(out)) == {"b"}
     assert "inference_steps=1" in err
 
 

@@ -273,6 +273,17 @@ def test_continue_policy_runs_unaffected_branches():
     assert statuses["join"] == "skipped"  # one failed predecessor
 
 
+def test_continue_skips_a_long_chain_below_a_failed_root():
+    trace = execute(chain_plan([f"t{i}" for i in range(5000)]), MockRegistry(fail=("t0",)),
+                    policy="continue")
+    assert [r.status for r in trace.nodes.values()].count("failed") == 1
+    assert trace.nodes["n0"].status == "failed"
+    skipped = [r for r in trace.nodes.values() if r.status == "skipped"]
+    assert len(skipped) == 4999
+    assert all(r.started is None and r.finished is None for r in skipped)
+    assert trace.waves == 1
+
+
 def test_policy_validation():
     with pytest.raises(ValueError):
         execute(DIAMOND, MockRegistry(), policy="hope")
@@ -373,6 +384,19 @@ def test_http_registry_post_get_and_retry():
         assert out["path"] == "/run/t.post"
         got = registry.invoke("t.get", {"q": "hi"})
         assert got["path"].startswith("/q?")
+    finally:
+        endpoint.close()
+
+
+def test_http_registry_from_file_resolves_its_tools(tmp_path):
+    endpoint = ToolEndpoint()
+    try:
+        bindings = tmp_path / "registry.json"
+        bindings.write_text(json.dumps({"t.post": {"url": endpoint.url + "/run/{tool}"}}))
+        registry = HttpRegistry.from_file(bindings)
+        assert registry.resolves("t.post")
+        assert not registry.resolves("t.nope")
+        assert registry.invoke("t.post", {"x": 1}) == {"echo": {"x": 1}, "path": "/run/t.post"}
     finally:
         endpoint.close()
 

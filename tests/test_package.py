@@ -55,3 +55,14 @@ def test_public_api_is_the_fixed_list():
     exported = {name for name, value in vars(dagplan).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert exported == PUBLIC_NAMES
+
+
+def test_traced_benchmark_rebinds_only_names_that_exist(monkeypatch):
+    # perfbench's traced runs replace module attributes by name, so an internal
+    # cleanup that drops one breaks the benchmark; its own tests run apart.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from dagbench.tracing import Recorder
+    from dagbench.workloads import tracing_replacements
+
+    for module, attr, _ in tracing_replacements(Recorder()):
+        assert hasattr(module, attr), f"{module.__name__}.{attr}"

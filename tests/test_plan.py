@@ -17,9 +17,11 @@ from dagplan import (
     PlanGraph,
     PlanNode,
     PlanSyntaxError,
+    RewardBranch,
     check_connectivity,
     detect_cycle,
     parse_plan,
+    score_plan,
     serialize_plan,
     to_dot,
     topo_order,
@@ -383,6 +385,24 @@ def test_args_nested_past_the_limit_are_a_syntax_failure(container):
         with pytest.raises(PlanSyntaxError, match="nest deeper"):
             parse_plan(text)
         assert validate_text(text).failed_check == "syntax"
+
+
+def _chain_text(n):
+    return plan_text([(f"n{i}", f"t{i}") for i in range(n)],
+                     [(f"n{i}", f"n{i + 1}") for i in range(n - 1)])
+
+
+def test_plans_over_the_node_limit_are_a_syntax_failure():
+    from dagplan.plan import MAX_PLAN_NODES
+
+    assert MAX_PLAN_NODES == 1000
+    assert len(parse_plan(_chain_text(MAX_PLAN_NODES)).nodes) == MAX_PLAN_NODES
+    text = _chain_text(MAX_PLAN_NODES + 1)
+    with pytest.raises(PlanSyntaxError, match="1001 nodes, more than 1000"):
+        parse_plan(text)
+    assert validate_text(text).failed_check == "syntax"
+    gold = make_plan([("a", "t1"), ("b", "t2")], [("a", "b")])
+    assert score_plan(text, gold).branch is RewardBranch.SYNTAX
 
 
 def test_plan_node_keeps_its_own_copy_of_args():
