@@ -10,7 +10,9 @@ and created on first use with ``MAX_WORKERS`` (32) threads, for a helper that
 runs them the same way; no call starts threads of its own, and a plan wider
 than 32 nodes queues.  A plan of fast tools thus runs mostly in the calling
 thread, which waits on another thread only for a node that thread is running,
-while slow tools run side by side on the helpers.  Outputs are materialized
+while slow tools run side by side on the helpers.  A call that returns leaves
+no reference cycles behind, so all it built is freed by reference counting,
+never left for the cycle collector.  Outputs are materialized
 before dependents start, and argument values of the form
 ``"$<node-id>.<field-path>"`` are resolved from predecessor outputs (a leading
 ``$$`` escapes a literal dollar sign).  An edge carrying no reference is a
@@ -18,13 +20,14 @@ pure ordering constraint.  A node's ``wave`` is its static depth (the longest
 chain of predecessors above it), not the moment it ran.
 
 ``preflight`` runs once per call, in memory linear in the plan and its
-references: Kahn's order (a cycle is searched for only when the order comes
-up short, so a plan that passed ``validate_graph`` is checked for cycles
-once), tool resolution, and one walk down from each node referenced by a node
-that is not its direct successor.  A node's args hold only dicts and
-lists (``PlanNode`` copies them so), so they are walked with concrete type
-checks; a field path into an upstream output also reads any other
-``collections.abc.Mapping`` a registry returns.
+references: the topological order, which a ``PlanGraph`` computes once with
+its cycle check (so a plan that passed ``validate_graph`` is sorted and
+checked for cycles once, however often it runs), tool resolution, and one
+walk down from each node referenced by a node that is not its direct
+successor.  A node's args hold only dicts and lists (``PlanNode`` copies them
+so), so they are walked with concrete type checks; a field path into an
+upstream output also reads any other ``collections.abc.Mapping`` a registry
+returns.
 
 Two failure policies: ``fail_fast`` starts no node after the first failure
 (nodes already in flight finish and keep their result; every other node is
@@ -437,9 +440,10 @@ def _drive(ready: list[int], run: Callable[[int], Any], done: Callable[[int, Any
     state = threading.Condition(threading.Lock())  # guards the above and ``ready``
     context = contextvars.copy_context()
 
-    def work() -> None:
+    def work(helping: bool) -> None:
         """Run ready entries until none is ready or no slot is free, with
-        ``state`` held, released around each ``run``."""
+        ``state`` held, released around each ``run``; a helper wakes the
+        caller, the only thread that ever waits, after each of its entries."""
         nonlocal running, asked
         while ready and running < slots and not stopped():
             index = heapq.heappop(ready)
@@ -454,22 +458,28 @@ def _drive(ready: list[int], run: Callable[[int], Any], done: Callable[[int, Any
             finally:
                 state.acquire()
                 running -= 1
-                state.notify()
+                if helping:
+                    state.notify()
             done(index, result)
 
     def helper() -> None:
         nonlocal asked
         with state:
             asked -= 1
-            context.copy().run(work)
+            context.copy().run(work, True)
 
     with state:
-        work()
+        work(False)
         while running or (ready and not stopped()):
             state.wait()
-            work()
+            work(False)
         if asked:
             _shared_helpers().withdraw(helper)
+    # ``work`` and ``helper`` refer to each other, so this binding would keep
+    # them, and all they hold, for the cycle collector; dropped, reference
+    # counting frees them on return.  A helper that took an ask before the
+    # withdraw finds nothing ready and never asks again.
+    del helper
 
 
 def _map_jobs(fn: Callable[[Any], Any], items: Sequence[Any], workers: int) -> list[Any]:
@@ -526,6 +536,7 @@ def execute(
     ready = [i for i, nid in enumerate(order) if not unfinished[nid]]  # sorted, so a heap
     results: dict[str, NodeResult] = {}
     outputs: dict[str, Any] = {}
+    blocked: set[str] = set()  # nodes with a failed or skipped predecessor
     halted = False  # set by the first failure under fail_fast
     started_at = time.perf_counter()
 
@@ -566,10 +577,12 @@ def execute(
             results[nid] = result
             if result.status == "ok":
                 outputs[nid] = result.output
+            else:
+                blocked.update(plan.successors[nid])
             for succ in plan.successors[nid]:
                 unfinished[succ] -= 1
                 if not unfinished[succ]:
-                    if any(results[p].status != "ok" for p in plan.predecessors[succ]):
+                    if succ in blocked:
                         stack.append(skipped(succ))
                     else:
                         heapq.heappush(ready, position[succ])

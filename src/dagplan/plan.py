@@ -93,6 +93,10 @@ class PlanGraph:
 
     Equality is set-based: two graphs are equal iff their node sets (id, tool,
     args) and edge sets (src, dst) coincide, regardless of storage order.
+
+    The structural verdict (topological order, or a witness cycle) is computed
+    once per graph; ``topo_order``, ``detect_cycle`` and ``validate_graph``
+    all read it.
     """
 
     nodes: tuple[PlanNode, ...]
@@ -162,6 +166,26 @@ class PlanGraph:
     def tool_set(self) -> frozenset[str]:
         """The tools this plan invokes; node identity for scoring purposes."""
         return frozenset(n.tool for n in self.nodes)
+
+    @cached_property
+    def _verdict(self) -> tuple[tuple[str, ...], tuple[str, ...] | None]:
+        """Kahn's order, ties broken by ascending id, and the DFS witness cycle,
+        searched for only when the order comes up short (else None)."""
+        indegree = {n.id: 0 for n in self.nodes}
+        for e in self.edges:
+            indegree[e.dst] += 1
+        ready = [nid for nid, d in indegree.items() if not d]
+        heapq.heapify(ready)
+        order: list[str] = []
+        succ = self.successors
+        while ready:
+            nid = heapq.heappop(ready)
+            order.append(nid)
+            for nxt in succ[nid]:
+                indegree[nxt] -= 1
+                if not indegree[nxt]:
+                    heapq.heappush(ready, nxt)
+        return tuple(order), None if len(order) == len(indegree) else _witness_cycle(succ)
 
     @cached_property
     def edge_tool_pairs(self) -> frozenset[tuple[str, str]]:
@@ -242,6 +266,9 @@ MAX_ARGS_DEPTH = 100
 # Most nodes a plan may hold; preflight's reference check grows with the
 # square of the plan, so larger plans are syntax failures too.
 MAX_PLAN_NODES = 1000
+# Longest plan text, in characters, ``parse_plan`` decodes; longer text is a
+# syntax failure found before any decoding, since ``len`` of a str is O(1).
+MAX_PLAN_CHARS = 1_000_000
 
 
 class FormatError(ValueError):
@@ -340,9 +367,13 @@ def _copy_args(value: Any, level: int, nid: str) -> Any:
 def parse_plan(plan: Any, *, self_loops: str = "reject") -> PlanGraph:
     """Interpret planner output as a PlanGraph: ``plan_from_doc`` of a decoded
     plan document, where a ``str`` is plan text and is decoded first and any
-    other value is the document; any rejection raised as PlanSyntaxError."""
-    doc = decode_json(plan, PlanSyntaxError) if isinstance(plan, str) else plan
-    return plan_from_doc(doc, self_loops=self_loops)
+    other value is the document; any rejection raised as PlanSyntaxError.
+    Text longer than ``MAX_PLAN_CHARS`` is rejected without being decoded."""
+    if isinstance(plan, str):
+        if len(plan) > MAX_PLAN_CHARS:
+            raise PlanSyntaxError(f"plan text has {len(plan)} characters, more than {MAX_PLAN_CHARS}")
+        plan = decode_json(plan, PlanSyntaxError)
+    return plan_from_doc(plan, self_loops=self_loops)
 
 
 def plan_from_doc(doc: Any, *, self_loops: str = "reject") -> PlanGraph:
@@ -443,7 +474,12 @@ def detect_cycle(g: PlanGraph) -> list[str] | None:
     the same graph always yields the same witness.  A self-loop reports as
     ``[a, a]``.
     """
-    succ = g.successors
+    cycle = g._verdict[1]
+    return list(cycle) if cycle else None
+
+
+def _witness_cycle(succ: Mapping[str, tuple[str, ...]]) -> tuple[str, ...] | None:
+    """``detect_cycle``'s depth-first search over the successor lists."""
     state: dict[str, int] = {}  # 1 = on current path, 2 = fully explored
     for start in sorted(succ):
         if state.get(start):
@@ -459,7 +495,7 @@ def detect_cycle(g: PlanGraph) -> list[str] | None:
                 if seen == 2:
                     continue
                 if seen == 1:
-                    return path[path.index(nxt):] + [nxt]
+                    return (*path[path.index(nxt):], nxt)
                 state[nxt] = 1
                 path.append(nxt)
                 stack.append((nxt, iter(succ[nxt])))
@@ -505,20 +541,10 @@ def topo_order(g: PlanGraph) -> list[str]:
     Raises CycleError carrying ``detect_cycle``'s witness when the plan is
     cyclic; only then does it search for a cycle.
     """
-    indegree = {n.id: len(g.predecessors[n.id]) for n in g.nodes}
-    ready = [nid for nid, d in indegree.items() if d == 0]
-    heapq.heapify(ready)
-    order: list[str] = []
-    while ready:
-        nid = heapq.heappop(ready)
-        order.append(nid)
-        for nxt in g.successors[nid]:
-            indegree[nxt] -= 1
-            if indegree[nxt] == 0:
-                heapq.heappush(ready, nxt)
-    if len(order) < len(indegree):
-        raise CycleError(detect_cycle(g))
-    return order
+    order, cycle = g._verdict
+    if cycle:
+        raise CycleError(cycle)
+    return list(order)
 
 
 def validate_graph(g: PlanGraph) -> ValidationReport:

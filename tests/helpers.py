@@ -6,10 +6,12 @@ independent oracles defined inside each test module, never from here.
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 import threading
 import time
+from typing import Callable
 
 from dagplan import CompletionClient, PlanEdge, PlanGraph, PlanNode
 
@@ -36,6 +38,19 @@ class PeakClient(CompletionClient):
         finally:
             with self._lock:
                 self.active -= 1
+
+
+def cycles_left_by(call: Callable[[], object]) -> int:
+    """Run ``call`` with the cycle collector paused and return how many
+    unreachable objects it left: objects that refer to each other, so that
+    reference counting alone never frees them."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
 
 
 def plan_text(nodes, edges) -> str:

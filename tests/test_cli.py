@@ -448,6 +448,16 @@ def test_exec_plan_over_the_node_limit_is_io_error(tmp_path, capsys):
     assert "3000 nodes, more than 1000" in err
 
 
+def test_exec_plan_over_the_length_limit_is_io_error(tmp_path, capsys):
+    from dagplan.plan import MAX_PLAN_CHARS
+
+    plan = VALID + " " * (MAX_PLAN_CHARS + 1 - len(VALID))
+    assert main(["exec", "--plan", write(tmp_path, "plan.json", plan)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"more than {MAX_PLAN_CHARS}" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["exec", "--jobs", "0"],
     ["exec", "--jobs", "-1"],

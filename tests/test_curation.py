@@ -27,7 +27,7 @@ from dagplan.clients import FailingClient
 from dagplan.executor import MAX_WORKERS
 from dagplan.prompts import replan_prompt
 
-from helpers import PeakClient, fan_out_plan
+from helpers import PeakClient, cycles_left_by, fan_out_plan
 
 LIB = synth_library(40, seed=13)
 RECORDS, _ = build_dataset(LIB, {"Easy": 6}, seed=8)
@@ -133,6 +133,13 @@ def test_curate_parallel_matches_sequential():
     kept_par, stats_par = curate(records, planner, 5, jobs=4)
     assert kept_seq == kept_par
     assert stats_seq.histogram == stats_par.histogram
+
+
+def test_curate_with_jobs_leaves_no_reference_cycles():
+    records = RECORDS[:4]
+    planner = FixtureClient(solve_cassette(records, [[1, 0, 0, 0, 0], [0, 0, 0, 0, 0],
+                                                     [1, 1, 1, 1, 1], [0, 1, 0, 1, 1]]))
+    assert cycles_left_by(lambda: curate(records, planner, 5, jobs=2)) == 0
 
 
 def test_curate_is_idempotent_on_the_kept_set():

@@ -39,7 +39,7 @@ from dagplan import (
     trace_to_dot,
 )
 from dagplan.executor import MAX_WORKERS, _map_jobs, preflight
-from helpers import chain_plan, fan_out_plan, make_plan, random_gold
+from helpers import chain_plan, cycles_left_by, fan_out_plan, make_plan, random_gold
 
 
 def longest_path_oracle(g: PlanGraph) -> int:
@@ -749,3 +749,36 @@ def test_map_jobs_raises_the_earliest_failure_and_starts_nothing_after_it():
     assert err.value.args == (3,)
     assert len(started) < 40
     assert _map_jobs(job, [], 4) == []
+
+
+# --- no reference cycles: everything a call builds is freed on return ----------
+
+# A root, 40 children and a sink below them all: the root leaves 40 nodes
+# ready at once, so the caller asks for helpers, and t3's failure blocks the sink.
+FAN_IN = make_plan(
+    [("root", "t0")] + [(f"n{i:02d}", f"t{i + 1}") for i in range(40)] + [("sink", "t99")],
+    [("root", f"n{i:02d}") for i in range(40)] + [(f"n{i:02d}", "sink") for i in range(40)],
+)
+
+
+@pytest.mark.parametrize("policy", ["fail_fast", "continue"])
+@pytest.mark.parametrize("workers", [1, 32])
+@pytest.mark.parametrize("fail", [(), ("t3",)])
+def test_execute_leaves_no_reference_cycles(policy, workers, fail):
+    registry = MockRegistry(fail=fail)
+    assert cycles_left_by(lambda: execute(FAN_IN, registry, policy, max_workers=workers)) == 0
+    trace = execute(FAN_IN, registry, policy, max_workers=workers)
+    assert trace.nodes["sink"].status == ("skipped" if fail else "ok")
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_map_jobs_leaves_no_reference_cycles(workers):
+    assert cycles_left_by(lambda: _map_jobs(str, list(range(100)), workers)) == 0
+
+
+def test_run_end_to_end_leaves_no_reference_cycles():
+    def run():
+        planner = ScriptedClient([serialize_plan(DIAMOND)])
+        return run_end_to_end("q", ["t1", "t2", "t3", "t4"], planner, MockRegistry())
+
+    assert cycles_left_by(run) == 0

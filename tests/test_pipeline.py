@@ -40,7 +40,7 @@ from dagplan import (
 )
 from dagplan.clients import FailingClient
 from dagplan.prompts import query_prompt, replan_prompt, workflow_prompt
-from helpers import PeakClient, make_plan, plan_text
+from helpers import PeakClient, cycles_left_by, make_plan, plan_text
 
 LIB = synth_library(80, seed=42)
 
@@ -327,6 +327,11 @@ def test_offline_build_with_jobs_matches_sequential():
     sequential, _ = build_dataset(LIB, {"Easy": 6, "Medium": 4}, seed=3, jobs=1)
     parallel, _ = build_dataset(LIB, {"Easy": 6, "Medium": 4}, seed=3, jobs=4)
     assert sequential == parallel
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_build_leaves_no_reference_cycles(jobs):
+    assert cycles_left_by(lambda: build_dataset(LIB, {"Easy": 4, "Medium": 2}, seed=3, jobs=jobs)) == 0
 
 
 def test_build_rejects_unknown_difficulty():

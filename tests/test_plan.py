@@ -405,6 +405,23 @@ def test_plans_over_the_node_limit_are_a_syntax_failure():
     assert score_plan(text, gold).branch is RewardBranch.SYNTAX
 
 
+def test_plan_text_over_the_length_limit_is_a_syntax_failure_before_decoding():
+    from dagplan.plan import MAX_PLAN_CHARS
+
+    assert MAX_PLAN_CHARS == 1_000_000
+    text = plan_text([("a", "t1"), ("b", "t2")], [("a", "b")])
+    at_limit = text + " " * (MAX_PLAN_CHARS - len(text))
+    assert parse_plan(at_limit) == parse_plan(text)
+    message = f"plan text has {MAX_PLAN_CHARS + 1} characters, more than {MAX_PLAN_CHARS}"
+    # Not JSON either: the length is checked first.
+    for over in (at_limit + " ", "[" * (MAX_PLAN_CHARS + 1)):
+        with pytest.raises(PlanSyntaxError) as err:
+            parse_plan(over)
+        assert err.value.reason == message
+        assert validate_text(over).failed_check == "syntax"
+        assert score_plan(over, parse_plan(text)).branch is RewardBranch.SYNTAX
+
+
 def test_plan_node_keeps_its_own_copy_of_args():
     args = {"x": [1, {"k": "v"}], "ref": "$a.digest"}
     g = make_plan([("a", "t1"), ("b", "t2", args)], [("a", "b")])

@@ -2,8 +2,10 @@
 
 ``topo_order`` is compared with a Kahn's algorithm written here, and
 ``preflight``'s reference check with ancestor sets computed here by a walk up
-the test's own edge list.  ``execute`` records whatever exception a registry
-raises as its node's failure.
+the test's own edge list.  The structural verdict a graph computes once and
+caches is compared with that Kahn's algorithm and with an uncached copy of
+``detect_cycle``'s depth-first search.  ``execute`` records whatever
+exception a registry raises as its node's failure.
 """
 
 from __future__ import annotations
@@ -16,9 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dagplan import (
-    CycleError, MockRegistry, PlanEdge, PlanGraph, PlanNode, ToolError, detect_cycle, execute, topo_order,
+    CycleError, MockRegistry, PlanEdge, PlanGraph, PlanNode, ToolError, check_connectivity, detect_cycle,
+    execute, parse_plan, topo_order, validate_graph,
 )
 from dagplan.executor import PreflightError, preflight
+from helpers import plan_text
 
 MAX_NODES = 8
 
@@ -88,6 +92,79 @@ def test_topo_order_is_kahn_or_a_cycle_error_with_detect_cycles_witness(graph):
         with pytest.raises(CycleError) as err:
             topo_order(g)
         assert err.value.cycle == detect_cycle(g)
+
+
+def uncached_cycle(g: PlanGraph) -> list[str] | None:
+    """Depth-first search in ascending id order; the first cycle closed."""
+    succ = g.successors
+    state: dict[str, int] = {}  # 1 = on current path, 2 = fully explored
+    for start in sorted(succ):
+        if state.get(start):
+            continue
+        state[start] = 1
+        path = [start]
+        stack = [(start, iter(succ[start]))]
+        while stack:
+            node, neighbors = stack[-1]
+            advanced = False
+            for nxt in neighbors:
+                seen = state.get(nxt)
+                if seen == 2:
+                    continue
+                if seen == 1:
+                    return path[path.index(nxt):] + [nxt]
+                state[nxt] = 1
+                path.append(nxt)
+                stack.append((nxt, iter(succ[nxt])))
+                advanced = True
+                break
+            if not advanced:
+                stack.pop()
+                state[node] = 2
+                path.pop()
+    return None
+
+
+@st.composite
+def looped_edge_lists(draw) -> tuple[int, list[tuple[int, int]]]:
+    """A node count and directed edges, self-loops included."""
+    n = draw(st.integers(1, MAX_NODES))
+    return n, draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                            max_size=3 * n, unique=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(looped_edge_lists(), st.permutations(["detect_cycle", "topo_order", "validate_graph"]))
+def test_the_cached_verdict_matches_the_uncached_checks_in_any_call_order(graph, calls):
+    n, edges = graph
+    text = plan_text([(node_id(i), f"t{i}") for i in range(n)],
+                     [(node_id(a), node_id(b)) for a, b in edges])
+    g = parse_plan(text, self_loops="cycle")
+    cycle = uncached_cycle(g)
+    order = reference_kahn(n, edges)
+    assert (cycle is None) == (order is not None)
+    connected, isolated = check_connectivity(g)
+    # Each check twice, in the drawn order; every list returned is then mutated.
+    for name in calls + calls:
+        if name == "detect_cycle":
+            got = detect_cycle(g)
+            assert got == cycle
+        elif name == "validate_graph":
+            report = validate_graph(g)
+            assert (report.is_acyclic, report.first_cycle) == (cycle is None, tuple(cycle or ()) or None)
+            assert (report.is_connected, report.isolated_nodes) == (connected, tuple(isolated))
+            got = None
+        elif cycle is None:
+            got = topo_order(g)
+            assert got == order
+        else:
+            with pytest.raises(CycleError) as err:
+                topo_order(g)
+            got = err.value.cycle
+            assert got == cycle
+        if got:
+            got.reverse()
+            got.append("mutated")
 
 
 @settings(max_examples=300, deadline=None)
