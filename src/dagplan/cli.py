@@ -18,6 +18,7 @@ by default) > config file (--client-config JSON) > built-in default.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -29,7 +30,7 @@ from typing import Any, Iterator
 
 from . import __version__
 from .catalog import ToolLibrary, load_library, synth_library
-from .clients import ClientError, CompletionClient, FixtureClient, HttpCompletionClient
+from .clients import ClientError, CompletionClient, FixtureClient, HttpCompletionClient, valid_timeout
 from .curation import curate, split_train_test
 from .executor import (
     HttpRegistry,
@@ -97,10 +98,9 @@ def _resolve_client(args: argparse.Namespace) -> CompletionClient | None:
     file_cfg: dict[str, Any] = {}
     if args.client_config:
         file_cfg = read_json(args.client_config)
-        kinds = {"base_url": str, "model": str, "api_key_env": str, "timeout": (int, float)}
-        if not isinstance(file_cfg, dict) or any(
-                k in file_cfg and not isinstance(file_cfg[k], t) for k, t in kinds.items()):
-            raise FormatError(f'{args.client_config}: not an object of strings and a numeric "timeout"')
+        if not isinstance(file_cfg, dict) or not valid_timeout(file_cfg.get("timeout", 60.0)) or any(
+                not isinstance(file_cfg.get(k, ""), str) for k in ("base_url", "model", "api_key_env")):
+            raise FormatError(f'{args.client_config}: not an object of strings and a numeric "timeout" above 0')
     # The resolved settings go back onto args, so the manifest records what was used.
     args.base_url = args.base_url or os.environ.get("DAGPLAN_BASE_URL") or file_cfg.get("base_url")
     if not args.base_url:
@@ -321,7 +321,7 @@ def cmd_curate(args: argparse.Namespace) -> int:
         jobs=args.jobs,
     )
     save_records(kept, args.out)
-    train, test = split_train_test(kept, args.split_seed if args.split_seed is not None else args.seed)
+    train, test = split_train_test(kept, args.seed)
     if args.train_out:
         save_records(train, args.train_out)
     if args.test_out:
@@ -463,6 +463,8 @@ def _int_at_least(low: int):
     return convert
 
 
+# Built once: parsing leaves it unchanged, and a parser per call leaves cycles to the collector.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dagplan", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"dagplan {__version__}")
@@ -530,8 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rollouts", type=_int_at_least(2), default=5)
     p.add_argument("--low", type=float, default=0.0)
     p.add_argument("--high", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--split-seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0, help="seed of the train/test split")
     p.add_argument("--train-out")
     p.add_argument("--test-out")
     p.add_argument("--jobs", type=_int_at_least(1), default=1,

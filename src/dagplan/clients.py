@@ -73,6 +73,11 @@ def http_request(
     raise error(f"{label}: failed after {attempts} attempts: {last}")
 
 
+def valid_timeout(value: object) -> bool:
+    """Whether a config's ``timeout`` is seconds a socket can wait: a number, not a bool, in (0, TIMEOUT_MAX]."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 < value <= threading.TIMEOUT_MAX
+
+
 class HttpCompletionClient(CompletionClient):
     """Chat-completion style HTTP client.
 

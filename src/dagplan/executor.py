@@ -32,8 +32,9 @@ returns.
 Two failure policies: ``fail_fast`` starts no node after the first failure
 (nodes already in flight finish and keep their result; every other node is
 skipped); ``continue`` keeps running every node whose predecessors all
-succeeded and skips the rest.  There is no re-planning: the plan gets exactly
-one shot.
+succeeded and skips the rest.  Either way each node gets one result, and one
+to skip is skipped by ``run_node``, at once.  There is no re-planning: the
+plan gets exactly one shot.
 
 ``inference_steps`` counts model calls only — 1 for the planner plus 1 for
 the optional synthesizer in ``run_end_to_end``; tool invocations never count.
@@ -61,7 +62,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
 from .catalog import ToolSpec
-from .clients import CompletionClient, http_request
+from .clients import CompletionClient, http_request, valid_timeout
 # check_connectivity, detect_cycle and parse_plan stay bound for perfbench's traced runs.
 from .plan import (  # noqa: F401
     CycleError, FormatError, PlanGraph, check_connectivity, decode_json, detect_cycle, parse_plan,
@@ -163,14 +164,20 @@ class HttpRegistry(ToolRegistry):
 
     @classmethod
     def from_file(cls, path: str | Path) -> "HttpRegistry":
-        """Load bindings from JSON; FormatError unless it is an object of
-        objects, each with a string ``url``."""
+        """Load bindings from JSON; FormatError unless each is an object with a
+        string ``url`` and, if given, ``method`` GET or POST, string ``headers`` and a ``valid_timeout``."""
         doc = read_json(path)
         if not isinstance(doc, dict):
             raise FormatError(f"{path}: bindings are an object of tool id -> binding")
         for tool_id, binding in doc.items():
             if not isinstance(binding, dict) or not isinstance(binding.get("url"), str):
                 raise FormatError(f'{path}: binding {tool_id!r} has no string "url"')
+            headers = binding.get("headers", {})
+            if (str(binding.get("method", "POST")).upper() not in ("GET", "POST")
+                    or not isinstance(headers, dict) or not all(isinstance(v, str) for v in headers.values())
+                    or not valid_timeout(binding.get("timeout", DEFAULT_HTTP_TIMEOUT))):
+                raise FormatError(f'{path}: binding {tool_id!r} needs "method" GET/POST, '
+                                  'string "headers", "timeout" > 0')
         return cls(doc)
 
     def resolves(self, tool_id: str) -> bool:
@@ -217,16 +224,16 @@ def _reference_targets(args: dict | list, found: list[str]) -> list[str]:
     return found
 
 
-def _resolve_value(value: Any, outputs: Mapping[str, Any]) -> Any:
-    """A copy of an args value with every reference replaced by the upstream
-    output field it names and every ``$$`` escape unescaped."""
+def _resolve_value(value: Any, results: Mapping[str, NodeResult]) -> Any:
+    """A copy of an args value with every reference replaced by the field it
+    names of an upstream node's output and every ``$$`` escape unescaped."""
     if isinstance(value, str):
         if value[:1] != "$":
             return value
         if value[:2] == "$$":
             return value[1:]
         node_id, _, path = value[1:].partition(".")
-        current = outputs[node_id]
+        current = results[node_id].output
         for part in path.split(".") if path else ():
             if isinstance(current, dict) and part in current:
                 current = current[part]
@@ -239,9 +246,9 @@ def _resolve_value(value: Any, outputs: Mapping[str, Any]) -> Any:
                 raise ToolError(f"reference {value!r}: no field {part!r} in upstream output")
         return current
     if isinstance(value, dict):
-        return {k: _resolve_value(v, outputs) for k, v in value.items()}
+        return {k: _resolve_value(v, results) for k, v in value.items()}
     if isinstance(value, list):
-        return [_resolve_value(v, outputs) for v in value]
+        return [_resolve_value(v, results) for v in value]
     return value
 
 
@@ -426,15 +433,14 @@ def _shared_helpers() -> _Helpers:
     return _helpers.get(pid) or _helpers.setdefault(pid, _Helpers())
 
 
-def _drive(ready: list[int], run: Callable[[int], Any], done: Callable[[int, Any], None],
-           slots: int, stopped: Callable[[], bool]) -> None:
+def _drive(ready: list[int], run: Callable[[int], Any], done: Callable[[int, Any], None], slots: int) -> None:
     """The one caller-runs loop: run the entries of the heap ``ready``, smallest
     first and at most ``slots`` at once, in the calling thread and in helpers
     asked from the shared pool while more are ready (each in a copy of the
     caller's context), until none is ready or in flight.  ``done(i, run(i))``
-    runs under the loop's lock and may push more entries; none starts once
-    ``stopped()`` holds.  The caller waits only for entries in flight, never
-    for a helper to start, so a loop driven from the pool cannot deadlock it."""
+    runs under the loop's lock and may push more entries, each run in turn.
+    The caller waits only for entries in flight, never for a helper to start,
+    so a loop driven from the pool cannot deadlock it."""
     running = 0  # entries in flight, on any thread
     asked = 0    # asks for a helper that no helper has taken yet
     state = threading.Condition(threading.Lock())  # guards the above and ``ready``
@@ -445,7 +451,7 @@ def _drive(ready: list[int], run: Callable[[int], Any], done: Callable[[int, Any
         ``state`` held, released around each ``run``; a helper wakes the
         caller, the only thread that ever waits, after each of its entries."""
         nonlocal running, asked
-        while ready and running < slots and not stopped():
+        while ready and running < slots:
             index = heapq.heappop(ready)
             running += 1
             more = min(len(ready), slots - running) - asked
@@ -470,7 +476,7 @@ def _drive(ready: list[int], run: Callable[[int], Any], done: Callable[[int, Any
 
     with state:
         work(False)
-        while running or (ready and not stopped()):
+        while running or ready:
             state.wait()
             work(False)
         if asked:
@@ -485,20 +491,19 @@ def _drive(ready: list[int], run: Callable[[int], Any], done: Callable[[int, Any
 def _map_jobs(fn: Callable[[Any], Any], items: Sequence[Any], workers: int) -> list[Any]:
     """``[fn(item) for item in items]`` through ``_drive``, with at most
     ``workers`` (capped at ``MAX_WORKERS`` + 1) calls in flight, taken in input
-    order by the calling thread and helpers from the shared pool.  An exception
-    stops further items from starting; once those in flight have finished,
-    the one from the earliest item is raised."""
+    order by the calling thread and helpers from the shared pool.  After an
+    exception no further item calls ``fn``; once those in flight have
+    finished, the one from the earliest item is raised."""
     results: list[Any] = [None] * len(items)
     failures: dict[int, BaseException] = {}
 
     def run(index: int) -> Any:
         try:
-            return fn(items[index])
+            return None if failures else fn(items[index])
         except BaseException as exc:
             failures[index] = exc
 
-    _drive(list(range(len(items))), run, results.__setitem__,
-           min(max(workers, 1), MAX_WORKERS + 1), lambda: bool(failures))
+    _drive(list(range(len(items))), run, results.__setitem__, min(max(workers, 1), MAX_WORKERS + 1))
     if failures:
         raise failures[min(failures)]
     return results
@@ -513,17 +518,18 @@ def execute(
 ) -> ExecutionTrace:
     """Run the plan over the registry, each node as soon as its predecessors finish.
 
-    Nodes are ``_drive``'s entries, by topological position; a node whose
-    predecessor failed or was skipped is skipped when it would become ready,
-    without taking a slot.  ``max_workers`` caps this call's nodes in flight,
-    the calling thread's included (1 reproduces a sequential replay in
-    topological order in the calling thread); None, or a value above the
-    shared pool's ``MAX_WORKERS`` = 32 threads, means 32.  Under ``fail_fast``
-    no node starts after the first failure.  Per-node failures are recorded,
-    never raised: a ToolError, a reference into upstream output that does not
-    exist, or any other exception the registry raises (its ``error`` then
-    names the exception type).  Structural problems raise PreflightError
-    before anything runs; ``max_workers`` below 1 raises ValueError.
+    Nodes are ``_drive``'s entries, by topological position, and each settles
+    once: a node whose predecessor failed or was skipped, or any node taken
+    after a ``fail_fast`` failure, is skipped by ``run_node``, at once.
+    ``max_workers`` caps this call's nodes in flight, the calling thread's
+    included (1 reproduces a sequential replay in topological order in the
+    calling thread); None, or a value above the shared pool's ``MAX_WORKERS``
+    = 32 threads, means 32.  Under ``fail_fast`` no node starts after the
+    first failure.  Per-node failures are recorded, never raised: a
+    ToolError, a reference into upstream output that does not exist, or any
+    other exception the registry raises (its ``error`` then names the
+    exception type).  Structural problems raise PreflightError before
+    anything runs; ``max_workers`` below 1 raises ValueError.
     """
     if policy not in ("fail_fast", "continue"):
         raise ValueError(f"policy must be 'fail_fast' or 'continue', got {policy!r}")
@@ -535,13 +541,9 @@ def execute(
     unfinished = {nid: len(plan.predecessors[nid]) for nid in order}
     ready = [i for i, nid in enumerate(order) if not unfinished[nid]]  # sorted, so a heap
     results: dict[str, NodeResult] = {}
-    outputs: dict[str, Any] = {}
     blocked: set[str] = set()  # nodes with a failed or skipped predecessor
     halted = False  # set by the first failure under fail_fast
     started_at = time.perf_counter()
-
-    def skipped(nid: str) -> NodeResult:
-        return NodeResult(nid, plan.node_index[nid].tool, wave_of[nid], "skipped")
 
     def run_node(index: int) -> NodeResult:
         nonlocal halted
@@ -550,10 +552,10 @@ def execute(
         start = time.perf_counter()
         # Checked after taking ``start``, and set before taking ``finished``, so
         # no node's start is later than the first failure's finish.
-        if halted:
-            return skipped(nid)
+        if halted or nid in blocked:
+            return NodeResult(nid, node.tool, wave_of[nid], "skipped")
         try:
-            output = registry.invoke(node.tool, _resolve_value(node.args, outputs))
+            output = registry.invoke(node.tool, _resolve_value(node.args, results))
             return NodeResult(nid, node.tool, wave_of[nid], "ok", output,
                               started=start, finished=time.perf_counter())
         except Exception as exc:  # an untrusted registry's failure is this node's failure
@@ -568,33 +570,23 @@ def execute(
                               started=start, finished=time.perf_counter())
 
     def settle(index: int, result: NodeResult) -> None:
-        """Record a result and push each successor it leaves ready; one with a
-        failed or skipped predecessor is skipped and settled in turn."""
-        stack = [result]  # not recursion: a skipped chain may be long
-        while stack:
-            result = stack.pop()
-            nid = result.node_id
-            results[nid] = result
-            if result.status == "ok":
-                outputs[nid] = result.output
-            else:
-                blocked.update(plan.successors[nid])
-            for succ in plan.successors[nid]:
-                unfinished[succ] -= 1
-                if not unfinished[succ]:
-                    if succ in blocked:
-                        stack.append(skipped(succ))
-                    else:
-                        heapq.heappush(ready, position[succ])
+        """Record a result; block the successors of one that is not ok, and
+        push each successor it leaves ready."""
+        nid = result.node_id
+        results[nid] = result
+        if result.status != "ok":
+            blocked.update(plan.successors[nid])
+        for succ in plan.successors[nid]:
+            unfinished[succ] -= 1
+            if not unfinished[succ]:
+                heapq.heappush(ready, position[succ])
 
-    _drive(ready, run_node, settle, min(max_workers or MAX_WORKERS, MAX_WORKERS), lambda: halted)
+    _drive(ready, run_node, settle, min(max_workers or MAX_WORKERS, MAX_WORKERS))
 
-    by_wave = sorted(order, key=lambda n: (wave_of[n], n))
-    ordered = {nid: results.get(nid) or skipped(nid) for nid in by_wave}
-    executed = [r.wave for r in ordered.values() if r.status in ("ok", "failed")]
+    ordered = {nid: results[nid] for nid in sorted(order, key=lambda n: (wave_of[n], n))}
     return ExecutionTrace(
         nodes=ordered,
-        waves=max(executed, default=-1) + 1,
+        waves=max((r.wave for r in ordered.values() if r.status != "skipped"), default=-1) + 1,
         inference_steps=0,
         wall_time=time.perf_counter() - started_at,
         policy=policy,

@@ -21,7 +21,7 @@ from dagplan import (
 )
 from dagplan.cli import main
 from dagplan.prompts import replan_prompt
-from helpers import make_plan, plan_text
+from helpers import cycles_left_by, make_plan, plan_text
 
 LIB = synth_library(120, seed=0)
 
@@ -637,6 +637,9 @@ def test_eval_peak_memory_is_under_half_of_loading_the_dataset(tmp_path):
     assert eval_peak < load_peak / 2, (eval_peak, load_peak)
 
 
+BAD_BINDING = "binding 't1' needs \"method\" GET/POST, string \"headers\", \"timeout\" > 0"
+
+
 @pytest.mark.parametrize("argv, name, text, message", [
     (["curate", "--dataset", "{data}", "--out", "{tmp}/kept.jsonl", "--fixture", "{file}"],
      "cassette.json", "[1, 2]", "a cassette is an object of response strings"),
@@ -652,8 +655,23 @@ def test_eval_peak_memory_is_under_half_of_loading_the_dataset(tmp_path):
      "bindings.json", '{"t1": {"url": 5}}', "binding 't1' has no string \"url\""),
     (["exec", "--plan", "{plan}", "--registry", "{file}"],
      "bindings.json", '{"t1": "http://x"}', "binding 't1' has no string \"url\""),
+    (["exec", "--plan", "{plan}", "--registry", "{file}"],
+     "bindings.json", '{"t1": {"url": "http://127.0.0.1:9", "headers": "oops"}}', BAD_BINDING),
+    (["exec", "--plan", "{plan}", "--registry", "{file}"],
+     "bindings.json", '{"t1": {"url": "http://127.0.0.1:9", "headers": {"X-Try": 2}}}', BAD_BINDING),
+    (["exec", "--plan", "{plan}", "--registry", "{file}"],
+     "bindings.json", '{"t1": {"url": "http://127.0.0.1:9", "timeout": "soon"}}', BAD_BINDING),
+    (["exec", "--plan", "{plan}", "--registry", "{file}"],
+     "bindings.json", '{"t1": {"url": "http://127.0.0.1:9", "timeout": true}}', BAD_BINDING),
+    (["exec", "--plan", "{plan}", "--registry", "{file}"],
+     "bindings.json", '{"t1": {"url": "http://127.0.0.1:9", "timeout": 1e10}}', BAD_BINDING),
+    (["exec", "--plan", "{plan}", "--registry", "{file}"],
+     "bindings.json", '{"t1": {"url": "http://127.0.0.1:9", "method": "DELETE"}}', BAD_BINDING),
 ], ids=["curate-cassette-list", "curate-cassette-number", "run-cassette-list",
-        "gen-cassette-string", "exec-bindings-list", "exec-url-number", "exec-binding-string"])
+        "gen-cassette-string", "exec-bindings-list", "exec-url-number", "exec-binding-string",
+        "exec-headers-string", "exec-header-number", "exec-timeout-string", "exec-timeout-bool",
+        "exec-timeout-beyond-timeout-max",
+        "exec-method-delete"])
 def test_malformed_cassette_or_bindings_exits_two(tmp_path, capsys, argv, name, text, message):
     records, _ = build_dataset(LIB, {"Easy": 1}, seed=5)
     save_records(records, tmp_path / "data.jsonl")
@@ -676,8 +694,15 @@ def test_malformed_cassette_or_bindings_exits_two(tmp_path, capsys, argv, name, 
     (["gen", "--client-config", "{file}"], "client.json", "[1, 2]", "not an object of strings"),
     (["gen", "--client-config", "{file}"], "client.json", '{"base_url": "http://x", "timeout": [1]}',
      'a numeric "timeout"'),
+    (["gen", "--client-config", "{file}"], "client.json", '{"base_url": "http://127.0.0.1:9", "timeout": -1}',
+     'a numeric "timeout" above 0'),
+    (["gen", "--client-config", "{file}"], "client.json", '{"base_url": "http://127.0.0.1:9", "timeout": false}',
+     'a numeric "timeout" above 0'),
+    (["gen", "--client-config", "{file}"], "client.json", '{"base_url": "http://127.0.0.1:9", "timeout": 1e10}',
+     'a numeric "timeout" above 0'),
 ], ids=["catalog-deep-nesting", "catalog-object", "bands-number", "bands-empty-range",
-        "client-config-list", "client-config-timeout-list"])
+        "client-config-list", "client-config-timeout-list", "client-config-timeout-negative",
+        "client-config-timeout-bool", "client-config-timeout-beyond-timeout-max"])
 def test_malformed_catalog_or_config_exits_two(tmp_path, capsys, argv, name, text, message):
     paths = {"file": write(tmp_path, name, text)}
     argv = [arg.format(**paths) for arg in argv] + ["--counts", "Easy=1", "--out", str(tmp_path / "gen.jsonl")]
@@ -823,6 +848,13 @@ def test_run_trace_out_writes_trace_and_manifest(tmp_path, capsys):
     manifest = json.loads((tmp_path / "trace.json.manifest.json").read_text())
     assert manifest["subcommand"] == "run"
     assert manifest["config"]["query"] == "merge the reports"
+
+
+@pytest.mark.parametrize("command", ["validate", "exec"])
+def test_main_leaves_no_reference_cycles(tmp_path, capsys, command):
+    plan = write(tmp_path, "plan.json", VALID)
+    argv = ["validate", plan] if command == "validate" else ["exec", "--plan", plan]
+    assert cycles_left_by(lambda: main(argv)) == 0
 
 
 # --- manifests -----------------------------------------------------------------

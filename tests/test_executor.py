@@ -273,9 +273,10 @@ def test_continue_policy_runs_unaffected_branches():
     assert statuses["join"] == "skipped"  # one failed predecessor
 
 
-def test_continue_skips_a_long_chain_below_a_failed_root():
+@pytest.mark.parametrize("policy", ["fail_fast", "continue"])
+def test_each_policy_skips_a_long_chain_below_a_failed_root(policy):
     trace = execute(chain_plan([f"t{i}" for i in range(5000)]), MockRegistry(fail=("t0",)),
-                    policy="continue")
+                    policy=policy)
     assert [r.status for r in trace.nodes.values()].count("failed") == 1
     assert trace.nodes["n0"].status == "failed"
     skipped = [r for r in trace.nodes.values() if r.status == "skipped"]
@@ -749,6 +750,11 @@ def test_map_jobs_raises_the_earliest_failure_and_starts_nothing_after_it():
     assert err.value.args == (3,)
     assert len(started) < 40
     assert _map_jobs(job, [], 4) == []
+    started.clear()
+    with pytest.raises(ValueError) as err:
+        _map_jobs(job, list(range(40)), 1)
+    assert err.value.args == (3,)
+    assert started == [0, 1, 2, 3]
 
 
 # --- no reference cycles: everything a call builds is freed on return ----------

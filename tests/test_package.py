@@ -3,6 +3,7 @@ the public API is the fixed list of names below."""
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -66,3 +67,28 @@ def test_traced_benchmark_rebinds_only_names_that_exist(monkeypatch):
 
     for module, attr, _ in tracing_replacements(Recorder()):
         assert hasattr(module, attr), f"{module.__name__}.{attr}"
+
+
+def test_every_unused_import_is_one_the_traced_benchmark_rebinds(monkeypatch):
+    # No linter runs here, so this stands in for one: an import a module never
+    # uses is dead, unless perfbench's traced runs rebind that name on it.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from dagbench.tracing import Recorder
+    from dagbench.workloads import tracing_replacements
+
+    rebound: dict[str, set[str]] = {}
+    for module, attr, _ in tracing_replacements(Recorder()):
+        rebound.setdefault(module.__name__, set()).add(attr)
+    dead = {}
+    for path in sorted(Path(dagplan.__file__).resolve().parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"]
+        imported = {(alias.asname or alias.name).partition(".")[0] for node in imports for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = imported - used - rebound.get(f"dagplan.{path.stem}", set())
+        if unused:
+            dead[path.name] = sorted(unused)
+    assert dead == {}, f"imported but never used: {dead}"

@@ -103,6 +103,26 @@ def test_continue_statuses_equal_the_wave_reference(run):
     assert list(trace.nodes) == sorted(trace.nodes, key=lambda n: (trace.nodes[n].wave, n))
 
 
+def test_continue_statuses_hold_when_threads_switch_often():
+    # A node taken from the ready heap reads the set of blocked nodes without
+    # the loop's lock; every failure above it must already be in that set.
+    width = 40
+    plan = make_plan([("root", "t0")] + [(f"c{i:02d}", f"c{i}") for i in range(width)]
+                     + [(f"g{i:02d}", f"g{i}") for i in range(width)] + [("sink", "s")],
+                     [("root", f"c{i:02d}") for i in range(width)]
+                     + [(f"c{i:02d}", f"g{i:02d}") for i in range(width)]
+                     + [(f"g{i:02d}", "sink") for i in range(width)])
+    fail = {f"c{i}" for i in range(0, width, 3)}
+    expected = reference_continue_statuses(plan, fail)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, to shake out races on shared state
+    try:
+        for _ in range(30):
+            assert execute(plan, MockRegistry(fail=fail), "continue").statuses() == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
 @settings(max_examples=40, deadline=None)
 @given(runs())
 def test_fail_fast_starts_nothing_after_the_first_failure(run):
