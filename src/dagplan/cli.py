@@ -7,8 +7,9 @@ Exit codes are a stable scripting contract: 0 success, 1 domain rejection
 command that writes a primary output also writes a ``<output>.manifest.json``
 recording its config (every parsed option but the output paths, with resolved
 values in place of raw ones), the config's hash, the seed, and tool versions.
-Primary outputs are byte-reproducible for identical config/seed/fixtures, bar
-the measured times in execution traces; manifests carry the only timestamp.
+Primary outputs are byte-reproducible for identical config/seed/fixtures, bar trace
+times and which nodes a ``fail_fast`` run of many jobs skips (a thread race).
+Manifests carry the only timestamp.
 
 Client settings resolve as: CLI flag > environment variable (DAGPLAN_BASE_URL,
 DAGPLAN_MODEL; the secret always comes from the environment, DAGPLAN_API_KEY
@@ -30,7 +31,7 @@ from typing import Any, Iterator
 
 from . import __version__
 from .catalog import ToolLibrary, load_library, synth_library
-from .clients import ClientError, CompletionClient, FixtureClient, HttpCompletionClient, valid_timeout
+from .clients import ClientError, CompletionClient, FixtureClient, HttpCompletionClient, valid_timeout, valid_url
 from .curation import curate, split_train_test
 from .executor import (
     HttpRegistry,
@@ -95,23 +96,19 @@ def _resolve_client(args: argparse.Namespace) -> CompletionClient | None:
         return None
     if args.fixture:
         return FixtureClient(args.fixture)
-    file_cfg: dict[str, Any] = {}
-    if args.client_config:
-        file_cfg = read_json(args.client_config)
-        if not isinstance(file_cfg, dict) or not valid_timeout(file_cfg.get("timeout", 60.0)) or any(
-                not isinstance(file_cfg.get(k, ""), str) for k in ("base_url", "model", "api_key_env")):
-            raise FormatError(f'{args.client_config}: not an object of strings and a numeric "timeout" above 0')
+    file_cfg = read_json(args.client_config) if args.client_config else {}
+    if (not isinstance(file_cfg, dict) or ("timeout" in file_cfg and not valid_timeout(file_cfg["timeout"]))
+            or any(not isinstance(file_cfg.get(k, ""), str) for k in ("base_url", "model", "api_key_env"))):
+        raise FormatError(f'{args.client_config}: not an object of strings and a numeric "timeout" above 0')
     # The resolved settings go back onto args, so the manifest records what was used.
     args.base_url = args.base_url or os.environ.get("DAGPLAN_BASE_URL") or file_cfg.get("base_url")
     if not args.base_url:
         return None
+    if not valid_url(args.base_url):
+        raise UsageError(f"base URL {args.base_url!r} does not start with http:// or https://")
     args.model = args.model or os.environ.get("DAGPLAN_MODEL") or file_cfg.get("model") or "default"
-    return HttpCompletionClient(
-        args.base_url,
-        args.model,
-        api_key_env=file_cfg.get("api_key_env", "DAGPLAN_API_KEY"),
-        timeout=float(file_cfg.get("timeout", 60.0)),
-    )
+    settings = {k: file_cfg[k] for k in ("api_key_env", "timeout") if k in file_cfg}
+    return HttpCompletionClient(args.base_url, args.model, **settings)
 
 
 def _resolve_library(args: argparse.Namespace) -> ToolLibrary:
@@ -289,15 +286,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
         threshold=args.threshold, jobs=args.jobs,
     )
     out = Path(args.out)
-    existing: set[str] = set()
-    if args.resume and out.exists():
-        for record in load_records(out):
-            existing.add(record.record_id)
-        new_records = [r for r in records if r.record_id not in existing]
-        save_records(new_records, out, append=True)
-    else:
-        new_records = records
-        save_records(records, out)
+    append = args.resume and out.exists()
+    existing = {record.record_id for record in iter_records(out)} if append else set()
+    new_records = [r for r in records if r.record_id not in existing]
+    save_records(new_records, out, append=append)
     stats_doc = stats.to_dict()
     stats_doc["written"] = len(new_records)
     stats_doc["skipped_existing"] = len(records) - len(new_records)

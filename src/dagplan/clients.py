@@ -17,9 +17,9 @@ import time
 import urllib.error
 import urllib.request
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
-from .plan import FormatError, decode_json, read_json
+from .plan import FormatError, decode_json, read_config
 
 
 class ClientError(RuntimeError):
@@ -78,6 +78,11 @@ def valid_timeout(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 < value <= threading.TIMEOUT_MAX
 
 
+def valid_url(value: object) -> bool:
+    """Whether a config's URL is a string starting ``http://`` or ``https://``, in any case."""
+    return isinstance(value, str) and value.lower().startswith(("http://", "https://"))
+
+
 class HttpCompletionClient(CompletionClient):
     """Chat-completion style HTTP client.
 
@@ -85,8 +90,8 @@ class HttpCompletionClient(CompletionClient):
     to ``{base_url}/chat/completions`` and returns
     ``choices[0].message.content``.  The bearer secret is read from the
     environment variable named by ``api_key_env``, never from config files.
-    Transient failures (connection errors, HTTP 429/5xx) are retried with
-    capped exponential backoff.
+    Transient failures (connection errors, HTTP 429/5xx) are retried with capped
+    exponential backoff; ``max_retries`` counts attempts, the first included.
     """
 
     def __init__(
@@ -152,23 +157,15 @@ def fixture_key(prompt: str, seed: int | None = None) -> str:
 class FixtureClient(CompletionClient):
     """Replays recorded responses keyed by ``fixture_key(prompt, seed)``.
 
-    Accepts a mapping or a cassette file path (JSON: either a flat key->text
-    object or ``{"entries": {...}}``); a file of any other shape is a
-    FormatError.  A missing key is a hard ClientError —
-    replay runs must never silently fall through to anything live.
+    Accepts a cassette, in memory or as a JSON file path: a flat key->text
+    mapping or ``{"entries": {...}}``; any other shape is a FormatError (naming
+    the file, if any).  A missing key is a hard ClientError — replay runs must
+    never silently fall through to anything live.
     """
 
-    def __init__(self, entries: Mapping[str, str] | str | Path, model_name: str = "fixture"):
-        if isinstance(entries, (str, Path)):
-            path = entries
-            doc = read_json(path)
-            entries = doc.get("entries", doc) if isinstance(doc, dict) else doc
-            if not isinstance(entries, dict):
-                raise FormatError(f"{path}: a cassette is an object of response strings")
-            for key, text in entries.items():
-                if not isinstance(text, str):
-                    raise FormatError(f"{path}: entry {key[:12]!r} is not a string")
-        self.entries = dict(entries)
+    def __init__(self, entries: Mapping[str, Any] | str | Path, model_name: str = "fixture"):
+        self.entries = (read_config(entries, _cassette_entries) if isinstance(entries, (str, Path))
+                        else _cassette_entries(entries))
         self.model_name = model_name
 
     def complete(self, prompt: str, *, seed: int | None = None) -> str:
@@ -180,6 +177,17 @@ class FixtureClient(CompletionClient):
                 f"no fixture entry for key {key[:12]}… (seed={seed}); "
                 "record the cassette before replaying"
             ) from None
+
+
+def _cassette_entries(doc: Any) -> dict[str, str]:
+    """The key->text entries of a cassette document; FormatError for any other shape."""
+    entries = doc.get("entries", doc) if isinstance(doc, Mapping) else doc
+    if not isinstance(entries, Mapping):
+        raise FormatError("a cassette is an object of response strings")
+    for key, text in entries.items():
+        if not isinstance(text, str):
+            raise FormatError(f"entry {str(key)[:12]!r} is not a string")
+    return dict(entries)
 
 
 def save_cassette(entries: Mapping[str, str], path: str | Path) -> None:

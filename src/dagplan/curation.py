@@ -145,10 +145,12 @@ def curate(
 ) -> tuple[list[DatasetRecord], CurationStats]:
     """Order-preserving filter of ``records`` down to the frontier tasks.
 
-    Tasks whose planner calls keep failing are excluded as unprofiled rather
-    than retried forever.  At most ``jobs * n`` rollouts are in flight (and
-    never more than the executor's ``MAX_WORKERS`` + 1), and results keep
-    input order, so ``jobs`` does not change the outcome.
+    A task with a rollout whose ``retries`` planner calls all fail is unprofiled.
+    Each call also retries inside the client: with ``HttpCompletionClient``'s
+    default of 3 attempts, a dead endpoint gets 3 x 3 = 9 requests per rollout.
+    At most ``jobs * n`` rollouts are in flight (never more than the executor's
+    ``MAX_WORKERS`` + 1), and results keep input order, so ``jobs`` does not
+    change the outcome.
     """
     low, high = bounds
     stats = CurationStats(input_count=len(records), bounds=bounds, rollouts=n)

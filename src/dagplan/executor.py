@@ -62,11 +62,11 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
 from .catalog import ToolSpec
-from .clients import CompletionClient, http_request, valid_timeout
+from .clients import CompletionClient, http_request, valid_timeout, valid_url
 # check_connectivity, detect_cycle and parse_plan stay bound for perfbench's traced runs.
 from .plan import (  # noqa: F401
     CycleError, FormatError, PlanGraph, check_connectivity, decode_json, detect_cycle, parse_plan,
-    read_json, to_dot, topo_order, validate_text,
+    read_config, to_dot, topo_order, validate_text,
 )
 from .prompts import replan_prompt, synthesis_prompt
 from .reward import RewardBranch
@@ -148,7 +148,10 @@ class HttpRegistry(ToolRegistry):
     Bindings map tool id to ``{"url": template, "method": "POST"|"GET",
     "timeout": seconds, "headers": {...}}``; ``{tool}`` in the template is
     replaced with the tool id.  POST sends args as a JSON body, GET as query
-    parameters.  Transient failures retry with backoff before ToolError.
+    parameters.  Transient failures retry with backoff before ToolError;
+    ``retries`` counts tries after the first (by default at most 3 requests).
+    ``__init__`` checks each binding, in memory or from ``from_file``, and
+    resolves it once; a bad one is a FormatError that names it.
     """
 
     def __init__(
@@ -158,40 +161,36 @@ class HttpRegistry(ToolRegistry):
         retries: int = DEFAULT_HTTP_RETRIES,
         backoff: float = 0.2,
     ):
-        self._bindings = {k: dict(v) for k, v in bindings.items()}
+        if not isinstance(bindings, collections.abc.Mapping):
+            raise FormatError("bindings are an object of tool id -> binding")
+        self._bindings: dict[str, tuple[str, str, float, dict[str, str]]] = {}
+        for tool_id, binding in bindings.items():
+            if not isinstance(binding, collections.abc.Mapping) or not valid_url(binding.get("url")):
+                raise FormatError(f'binding {tool_id!r} has no string "url" starting http:// or https://')
+            method, headers = binding.get("method", "POST"), binding.get("headers", {})
+            timeout = binding.get("timeout", DEFAULT_HTTP_TIMEOUT)
+            if not (isinstance(method, str) and method.upper() in ("GET", "POST") and valid_timeout(timeout)
+                    and isinstance(headers, collections.abc.Mapping)
+                    and all(isinstance(k, str) and isinstance(v, str) for k, v in headers.items())):
+                raise FormatError(f'binding {tool_id!r} needs "method" GET/POST, string "headers", "timeout" > 0')
+            self._bindings[tool_id] = (binding["url"].replace("{tool}", urllib.parse.quote(tool_id, safe="")),
+                                       method.upper(), float(timeout), {"Content-Type": "application/json", **headers})
         self._retries = retries
         self._backoff = backoff
 
     @classmethod
     def from_file(cls, path: str | Path) -> "HttpRegistry":
-        """Load bindings from JSON; FormatError unless each is an object with a
-        string ``url`` and, if given, ``method`` GET or POST, string ``headers`` and a ``valid_timeout``."""
-        doc = read_json(path)
-        if not isinstance(doc, dict):
-            raise FormatError(f"{path}: bindings are an object of tool id -> binding")
-        for tool_id, binding in doc.items():
-            if not isinstance(binding, dict) or not isinstance(binding.get("url"), str):
-                raise FormatError(f'{path}: binding {tool_id!r} has no string "url"')
-            headers = binding.get("headers", {})
-            if (str(binding.get("method", "POST")).upper() not in ("GET", "POST")
-                    or not isinstance(headers, dict) or not all(isinstance(v, str) for v in headers.values())
-                    or not valid_timeout(binding.get("timeout", DEFAULT_HTTP_TIMEOUT))):
-                raise FormatError(f'{path}: binding {tool_id!r} needs "method" GET/POST, '
-                                  'string "headers", "timeout" > 0')
-        return cls(doc)
+        """Load bindings from JSON; a FormatError names the file."""
+        return read_config(path, cls)
 
     def resolves(self, tool_id: str) -> bool:
         return tool_id in self._bindings
 
     def invoke(self, tool_id: str, args: Mapping[str, Any]) -> Any:
         try:
-            binding = self._bindings[tool_id]
+            url, method, timeout, headers = self._bindings[tool_id]
         except KeyError:
             raise ToolError(f"no binding for tool {tool_id!r}") from None
-        url = str(binding["url"]).replace("{tool}", urllib.parse.quote(tool_id, safe=""))
-        method = str(binding.get("method", "POST")).upper()
-        timeout = float(binding.get("timeout", DEFAULT_HTTP_TIMEOUT))
-        headers = {"Content-Type": "application/json", **binding.get("headers", {})}
         data = None
         if method == "GET":
             flat = {k: json.dumps(v) if isinstance(v, (dict, list)) else str(v) for k, v in args.items()}

@@ -36,7 +36,7 @@ from .plan import (
     parse_plan,
     plan_doc,
     plan_from_doc,
-    read_json,
+    read_config,
     read_lines,
     serialize_plan,
     topo_order,
@@ -97,24 +97,21 @@ class DifficultyConfig:
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "DifficultyConfig":
-        bands = {
-            name: Band(tuple(spec["candidates"]), tuple(spec["required"]))
-            for name, spec in doc.items()
-        }
-        return cls(bands)
+        """Bands from a config document; FormatError unless each is an object of ``"candidates"``
+        and ``"required"`` [lo, hi] integer pairs (list or tuple, no bools) that make a ``Band``."""
+        bands = doc.values() if isinstance(doc, Mapping) else [None]
+        ranges = [b.get(k) if isinstance(b, Mapping) else None for b in bands for k in ("candidates", "required")]
+        if not all(isinstance(r, (list, tuple)) and len(r) == 2 and all(type(x) is int for x in r) for r in ranges):
+            raise FormatError('bands are objects of "candidates" and "required" [lo, hi] integers')
+        try:
+            return cls({name: Band(tuple(spec["candidates"]), tuple(spec["required"])) for name, spec in doc.items()})
+        except ValueError as exc:
+            raise FormatError(str(exc)) from None
 
     @classmethod
     def from_file(cls, path: str | Path) -> "DifficultyConfig":
-        """Read a band config file; FormatError when it is not JSON or not valid bands."""
-        doc = read_json(path)
-        bands = doc.values() if isinstance(doc, dict) else [None]
-        ranges = [b.get(k) if isinstance(b, dict) else None for b in bands for k in ("candidates", "required")]
-        if not all(isinstance(r, list) and len(r) == 2 and all(type(x) is int for x in r) for r in ranges):
-            raise FormatError(f'{path}: bands are objects of "candidates" and "required" [lo, hi] integers')
-        try:
-            return cls.from_dict(doc)
-        except ValueError as exc:
-            raise FormatError(f"{path}: {exc}") from None
+        """Read a band config file; FormatError naming the file when it is not JSON or not valid bands."""
+        return read_config(path, cls.from_dict)
 
     def to_dict(self) -> dict[str, Any]:
         return {

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 
 class PlanSyntaxError(ValueError):
@@ -346,6 +346,15 @@ def read_json(path: str | Path, error: type[FormatError] = FormatError) -> Any:
         return decode_json(text, error)
     except error as exc:
         raise error(f"{path}: {exc}") from None
+
+
+def read_config(path: str | Path, build: Callable[[Any], Any]) -> Any:
+    """``build`` of a JSON file's document; a FormatError from either names the file."""
+    doc = read_json(path)
+    try:
+        return build(doc)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 _SCALARS = (str, int, float, type(None))

@@ -9,7 +9,10 @@ from pathlib import Path
 import pytest
 
 from dagplan import (
+    Band,
     DifficultyConfig,
+    FixtureClient,
+    HttpRegistry,
     build_dataset,
     fixture_key,
     load_records,
@@ -20,6 +23,7 @@ from dagplan import (
     synth_library,
 )
 from dagplan.cli import main
+from dagplan.plan import FormatError
 from dagplan.prompts import replan_prompt
 from helpers import cycles_left_by, make_plan, plan_text
 
@@ -271,6 +275,16 @@ def test_gen_resume_appends_only_missing_records(tmp_path):
     assert stats["skipped_existing"] == 5
 
 
+def test_gen_resume_over_a_malformed_line_exits_two_and_leaves_the_file(tmp_path, capsys):
+    out = tmp_path / "data.jsonl"
+    assert main(["gen", "--offline", "--counts", "Easy=2", "--seed", "4", "--out", str(out)]) == 0
+    out.write_text(out.read_text().replace("\n", '\n{"id": 5}\n', 1))
+    before = out.read_text()
+    assert main(["gen", "--offline", "--counts", "Easy=4", "--seed", "4", "--out", str(out), "--resume"]) == 2
+    assert f"{out} line 2: " in capsys.readouterr().err
+    assert out.read_text() == before
+
+
 def test_gen_bad_counts_is_usage_error(tmp_path):
     assert main(["gen", "--offline", "--counts", "Impossible=3",
                  "--out", str(tmp_path / "x.jsonl")]) == 2
@@ -380,6 +394,7 @@ def test_client_settings_precedence(tmp_path, monkeypatch):
     client = resolve()
     assert client.base_url == "http://file"
     assert client.model_name == "file-model"
+    assert (client.api_key_env, client.timeout) == ("DAGPLAN_API_KEY", 60.0)
 
     monkeypatch.setenv("DAGPLAN_BASE_URL", "http://env")
     monkeypatch.setenv("DAGPLAN_MODEL", "env-model")
@@ -393,6 +408,10 @@ def test_client_settings_precedence(tmp_path, monkeypatch):
 
     # the offline flag beats everything
     assert resolve(base_url="http://flag", model="flag-model", offline=True) is None
+
+    config.write_text(json.dumps({"api_key_env": "OTHER_KEY", "timeout": 5}))
+    client = resolve()
+    assert (client.api_key_env, client.timeout) == ("OTHER_KEY", 5)
 
 
 def test_curate_requires_planner(tmp_path, monkeypatch):
@@ -656,6 +675,8 @@ BAD_BINDING = "binding 't1' needs \"method\" GET/POST, string \"headers\", \"tim
     (["exec", "--plan", "{plan}", "--registry", "{file}"],
      "bindings.json", '{"t1": "http://x"}', "binding 't1' has no string \"url\""),
     (["exec", "--plan", "{plan}", "--registry", "{file}"],
+     "bindings.json", '{"t1": {"url": "nonsense"}}', "binding 't1' has no string \"url\""),
+    (["exec", "--plan", "{plan}", "--registry", "{file}"],
      "bindings.json", '{"t1": {"url": "http://127.0.0.1:9", "headers": "oops"}}', BAD_BINDING),
     (["exec", "--plan", "{plan}", "--registry", "{file}"],
      "bindings.json", '{"t1": {"url": "http://127.0.0.1:9", "headers": {"X-Try": 2}}}', BAD_BINDING),
@@ -669,6 +690,7 @@ BAD_BINDING = "binding 't1' needs \"method\" GET/POST, string \"headers\", \"tim
      "bindings.json", '{"t1": {"url": "http://127.0.0.1:9", "method": "DELETE"}}', BAD_BINDING),
 ], ids=["curate-cassette-list", "curate-cassette-number", "run-cassette-list",
         "gen-cassette-string", "exec-bindings-list", "exec-url-number", "exec-binding-string",
+        "exec-url-not-http",
         "exec-headers-string", "exec-header-number", "exec-timeout-string", "exec-timeout-bool",
         "exec-timeout-beyond-timeout-max",
         "exec-method-delete"])
@@ -711,6 +733,73 @@ def test_malformed_catalog_or_config_exits_two(tmp_path, capsys, argv, name, tex
     assert f"{name}: " in err and message in err
     assert "Traceback" not in err
     assert not (tmp_path / "gen.jsonl").exists()
+
+
+def _bad_documents(test, name: str, *more: str) -> list[str]:
+    """The JSON text of each case of ``test`` that writes a file called ``name``, then ``more``."""
+    mark = next(m for m in test.pytestmark if m.name == "parametrize")
+    return [text for _, file, text, _ in mark.args[1] if file == name] + list(more)
+
+
+def _same_error_in_memory_and_from_file(tmp_path, text, build, read):
+    """``build`` of the decoded document raises the FormatError that ``read`` of a
+    file holding it raises, but for the file's name."""
+    path = write(tmp_path, "doc.json", text)
+    with pytest.raises(FormatError) as from_file:
+        read(path)
+    with pytest.raises(FormatError) as in_memory:
+        build(json.loads(text))
+    assert str(from_file.value) == f"{path}: {in_memory.value}"
+
+
+@pytest.mark.parametrize("text", _bad_documents(
+    test_malformed_cassette_or_bindings_exits_two, "bindings.json",
+    '{"t": {"url": "http://127.0.0.1:9", "method": "DELETE", "timeout": "soon"}}',
+    '{"t": {"url": "ftp://127.0.0.1:9"}}', '{"t": {"url": "http://127.0.0.1:9", "method": 5}}'))
+def test_http_registry_rejects_in_memory_what_its_file_reader_rejects(tmp_path, text):
+    _same_error_in_memory_and_from_file(tmp_path, text, HttpRegistry, HttpRegistry.from_file)
+
+
+# A JSON string is left out: a string passed to FixtureClient is a cassette's path.
+@pytest.mark.parametrize("text", [t for t in _bad_documents(
+    test_malformed_cassette_or_bindings_exits_two, "cassette.json", '{"k": 5}', '{"entries": [1]}')
+    if not isinstance(json.loads(t), str)])
+def test_fixture_client_rejects_in_memory_what_its_file_reader_rejects(tmp_path, text):
+    _same_error_in_memory_and_from_file(tmp_path, text, FixtureClient, FixtureClient)
+
+
+@pytest.mark.parametrize("text", _bad_documents(
+    test_malformed_catalog_or_config_exits_two, "bands.json",
+    '{"Easy": {"candidates": [5.5, 10], "required": [2, 4]}}',
+    '{"Easy": {"candidates": [true, 10], "required": [1, 4]}}',
+    '{"Easy": {"candidates": [5, 10, 15], "required": [2, 4]}}',
+    '{"Trivial": {"candidates": [5, 10], "required": [2, 4]}}', "[]"))
+def test_band_config_rejects_in_memory_what_its_file_reader_rejects(tmp_path, text):
+    _same_error_in_memory_and_from_file(tmp_path, text, DifficultyConfig.from_dict,
+                                        DifficultyConfig.from_file)
+
+
+def test_band_config_in_memory_takes_tuples():
+    config = DifficultyConfig.from_dict({"Easy": {"candidates": (5, 10), "required": (2, 4)}})
+    assert config.bands["Easy"] == Band((5, 10), (2, 4))
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["--base-url", "ftp://127.0.0.1:9"], {}),
+    ([], {"DAGPLAN_BASE_URL": "nonsense"}),
+    (["--client-config", "{file}"], {}),
+], ids=["flag", "environment", "client-config"])
+def test_base_url_that_is_not_http_exits_two(tmp_path, capsys, monkeypatch, argv, env):
+    monkeypatch.delenv("DAGPLAN_BASE_URL", raising=False)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    config = write(tmp_path, "client.json", '{"base_url": "nonsense"}')
+    out = tmp_path / "gen.jsonl"
+    assert main(["gen", *(arg.format(file=config) for arg in argv), "--counts", "Easy=1",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "does not start with http:// or https://" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("doc, field", [

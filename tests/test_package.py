@@ -1,17 +1,20 @@
-"""Package-level properties: the import has no third-party dependencies, and
-the public API is the fixed list of names below."""
+"""Package-level properties: the import has no third-party dependencies, the
+public API is the fixed list of names below, and the README states the limits
+the code sets."""
 
 from __future__ import annotations
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import types
 from pathlib import Path
 
 import dagplan
+from dagplan import executor, plan
 
 PROBE = """
 import json, sys
@@ -92,3 +95,24 @@ def test_every_unused_import_is_one_the_traced_benchmark_rebinds(monkeypatch):
         if unused:
             dead[path.name] = sorted(unused)
     assert dead == {}, f"imported but never used: {dead}"
+
+
+def test_readme_states_the_limits_the_code_sets():
+    # The README quotes these constants in prose; a changed constant must change it too.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    text = " ".join(readme.split())
+    number = r"(\d+(?:,\d{3})*)"
+    stated = {
+        rf"nest at most {number} containers deep": plan.MAX_ARGS_DEPTH,
+        rf"at most {number} nodes \(`dagplan\.plan\.MAX_PLAN_NODES`\)": plan.MAX_PLAN_NODES,
+        rf"at most {number} characters \(`dagplan\.plan\.MAX_PLAN_CHARS`": plan.MAX_PLAN_CHARS,
+        rf"pool of {number}": executor.MAX_WORKERS,
+        rf"`MAX_WORKERS` = {number}": executor.MAX_WORKERS,
+        rf"wider than {number} nodes": executor.MAX_WORKERS,
+        rf"min\(jobs × n, {number}\)": executor.MAX_WORKERS + 1,
+        rf"default {number} retries": executor.DEFAULT_HTTP_RETRIES,
+        rf"retries, {number} s timeout": executor.DEFAULT_HTTP_TIMEOUT,
+    }
+    for pattern, value in stated.items():
+        found = [int(n.replace(",", "")) for n in re.findall(pattern, text)]
+        assert found and set(found) == {value}, (pattern, found, value)

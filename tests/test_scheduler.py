@@ -141,6 +141,25 @@ def test_fail_fast_starts_nothing_after_the_first_failure(run):
             assert result.started <= first
 
 
+@settings(max_examples=40, deadline=None)
+@given(runs().filter(lambda run: run[2]))
+def test_fail_fast_outcomes_that_thread_timing_cannot_change(run):
+    # With many workers, which ready nodes start before the first failure
+    # finishes is a race; these hold however it goes.
+    plan, latency, fail, _ = run
+    trace = execute(plan, MockRegistry(latency=latency, fail=fail), "fail_fast", max_workers=MAX_WORKERS)
+    serial = execute(plan, MockRegistry(fail=fail), "continue", max_workers=1)
+    below, stack = set(), [nid for nid, r in trace.nodes.items() if r.status == "failed"]
+    while stack:
+        for nid in set(plan.successors[stack.pop()]) - below:
+            below.add(nid)
+            stack.append(nid)
+    assert {trace.nodes[nid].status for nid in below} <= {"skipped"}
+    for nid, result in trace.nodes.items():
+        if result.status == "ok":
+            assert result.output == serial.nodes[nid].output
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.lists(runs(), min_size=1, max_size=3))
 @example([(fan_out_plan(48), {}, [], None)])
