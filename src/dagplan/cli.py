@@ -11,6 +11,13 @@ Primary outputs are byte-reproducible for identical config/seed/fixtures, bar tr
 times and which nodes a ``fail_fast`` run of many jobs skips (a thread race).
 Manifests carry the only timestamp.
 
+Every command runs with the cycle collector paused, and ``main`` restores it
+after; library calls keep the collector as their caller left it.  No command
+leaves cyclic garbage that grows with its input or its failures (tests pin
+this), so a collection would only walk every record held and free next to
+nothing.  The pause is process-wide: a host that runs ``main`` in a thread sees
+the collector paused for the length of the command.
+
 Client settings resolve as: CLI flag > environment variable (DAGPLAN_BASE_URL,
 DAGPLAN_MODEL; the secret always comes from the environment, DAGPLAN_API_KEY
 by default) > config file (--client-config JSON) > built-in default.
@@ -20,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import hashlib
 import json
 import os
@@ -31,7 +39,7 @@ from typing import Any, Iterator
 
 from . import __version__
 from .catalog import ToolLibrary, load_library, synth_library
-from .clients import ClientError, CompletionClient, FixtureClient, HttpCompletionClient, valid_timeout, valid_url
+from .clients import ClientError, CompletionClient, FixtureClient, HttpCompletionClient, valid_timeout
 from .curation import curate, split_train_test
 from .executor import (
     HttpRegistry,
@@ -104,8 +112,6 @@ def _resolve_client(args: argparse.Namespace) -> CompletionClient | None:
     args.base_url = args.base_url or os.environ.get("DAGPLAN_BASE_URL") or file_cfg.get("base_url")
     if not args.base_url:
         return None
-    if not valid_url(args.base_url):
-        raise UsageError(f"base URL {args.base_url!r} does not start with http:// or https://")
     args.model = args.model or os.environ.get("DAGPLAN_MODEL") or file_cfg.get("model") or "default"
     settings = {k: file_cfg[k] for k in ("api_key_env", "timeout") if k in file_cfg}
     return HttpCompletionClient(args.base_url, args.model, **settings)
@@ -555,9 +561,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand; the one place a raised error becomes an exit code:
-    usage, format and OS errors exit 2, other ValueErrors and ClientError 1."""
+    """Run one subcommand, with the cycle collector paused; the one place a raised
+    error becomes an exit code: usage, format and OS errors exit 2, other
+    ValueErrors and ClientError 1."""
     args = build_parser().parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (OSError, FormatError, UsageError) as exc:
@@ -566,6 +575,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ClientError) as exc:
         _err(str(exc))
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

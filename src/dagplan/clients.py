@@ -54,22 +54,25 @@ def http_request(
 
     Connection errors, timeouts and HTTP 429/5xx are retried, up to
     ``attempts`` tries in all; try k > 0 first sleeps
-    ``min(backoff * 2**(k-1), max_backoff)`` seconds.  Any other HTTP status,
-    or running out of attempts, raises ``error`` with ``label`` in its message.
+    ``min(backoff * 2**(k-1), max_backoff)`` seconds.  Any other HTTP status, a
+    body that is not UTF-8, or running out of attempts, raises ``error`` with
+    ``label`` in its message.
     """
-    last: Exception | None = None
+    last = ""  # the message, not the exception: its traceback would hold this frame
     for attempt in range(attempts):
         if attempt:
             time.sleep(min(backoff * 2 ** (attempt - 1), max_backoff))
         try:
             with urllib.request.urlopen(request, timeout=timeout) as response:
                 return response.read().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise error(f"{label}: response body is not UTF-8") from exc
         except urllib.error.HTTPError as exc:
             if exc.code != 429 and exc.code < 500:
                 raise error(f"{label}: HTTP {exc.code}") from exc
-            last = exc
+            last = str(exc)
         except (urllib.error.URLError, TimeoutError, OSError) as exc:
-            last = exc
+            last = str(exc)
     raise error(f"{label}: failed after {attempts} attempts: {last}")
 
 
@@ -92,6 +95,7 @@ class HttpCompletionClient(CompletionClient):
     environment variable named by ``api_key_env``, never from config files.
     Transient failures (connection errors, HTTP 429/5xx) are retried with capped
     exponential backoff; ``max_retries`` counts attempts, the first included.
+    A ``base_url`` that is not http(s) or a bad ``timeout`` is a FormatError.
     """
 
     def __init__(
@@ -105,6 +109,10 @@ class HttpCompletionClient(CompletionClient):
         backoff: float = 0.5,
         max_backoff: float = 8.0,
     ):
+        if not valid_url(base_url):
+            raise FormatError(f"base URL {base_url!r} does not start with http:// or https://")
+        if not valid_timeout(timeout):
+            raise FormatError(f"timeout {timeout!r} is not a number of seconds above 0")
         self.base_url = base_url.rstrip("/")
         self.model_name = model_name
         self.api_key_env = api_key_env

@@ -69,7 +69,7 @@ def _profile(
             try:
                 return planner.complete(prompt, seed=seed)
             except ClientError as exc:
-                error = exc
+                error = exc.with_traceback(None)  # its traceback would hold this frame
         assert error is not None
         return error
 

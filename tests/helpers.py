@@ -6,12 +6,14 @@ independent oracles defined inside each test module, never from here.
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import json
 import random
 import threading
 import time
-from typing import Callable
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Callable, Iterator
 
 from dagplan import CompletionClient, PlanEdge, PlanGraph, PlanNode
 
@@ -51,6 +53,37 @@ def cycles_left_by(call: Callable[[], object]) -> int:
         return gc.collect()
     finally:
         gc.enable()
+
+
+@contextlib.contextmanager
+def loopback(status: int, body: bytes) -> Iterator[str]:
+    """An HTTP server on 127.0.0.1 that answers every GET and POST with
+    ``status`` and the raw ``body``; yields its base URL."""
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):  # noqa: N802 (stdlib casing)
+            self.rfile.read(int(self.headers.get("Content-Length", "0")))
+            self.send_response(status)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        do_GET = do_POST
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    server.daemon_threads = False  # so server_close joins the handlers and their sockets are closed
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        host, port = server.server_address
+        yield f"http://{host}:{port}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
 
 
 def plan_text(nodes, edges) -> str:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import os
 import tracemalloc
+import types
 from pathlib import Path
 
 import pytest
@@ -22,10 +25,11 @@ from dagplan import (
     serialize_plan,
     synth_library,
 )
+from dagplan import cli, clients
 from dagplan.cli import main
-from dagplan.plan import FormatError
+from dagplan.plan import FormatError, read_text
 from dagplan.prompts import replan_prompt
-from helpers import cycles_left_by, make_plan, plan_text
+from helpers import cycles_left_by, loopback, make_plan, plan_text
 
 LIB = synth_library(120, seed=0)
 
@@ -939,11 +943,141 @@ def test_run_trace_out_writes_trace_and_manifest(tmp_path, capsys):
     assert manifest["config"]["query"] == "merge the reports"
 
 
-@pytest.mark.parametrize("command", ["validate", "exec"])
-def test_main_leaves_no_reference_cycles(tmp_path, capsys, command):
-    plan = write(tmp_path, "plan.json", VALID)
-    argv = ["validate", plan] if command == "validate" else ["exec", "--plan", plan]
-    assert cycles_left_by(lambda: main(argv)) == 0
+def sized_inputs(tmp_path, n: int) -> dict[str, str]:
+    """``manifest_inputs`` over 2n records, plus inputs that grow with n: a chain
+    plan of 4n nodes, a junk candidate per record (as score candidates and as
+    eval predictions), a run cassette whose plan chains 2n tools, and a score
+    summary of 3n branches with a malformed twin."""
+    tmp_path.mkdir()
+    inputs = manifest_inputs(tmp_path, 2 * n)
+    ids = [r.record_id for r in load_records(inputs["data"])]
+    tools = LIB.ids()[:2 * n]
+    run_plan = plan_text([(f"n{i}", t) for i, t in enumerate(tools)],
+                         [(f"n{i}", f"n{i + 1}") for i in range(len(tools) - 1)])
+    save_cassette({fixture_key(replan_prompt("merge the reports", LIB.subset(tools))): run_plan},
+                  tmp_path / "run.json")
+    branches = {f"b{i}": 1 for i in range(3 * n)}
+    return {**inputs, "n": str(2 * n), "tools": ",".join(tools), "first_tool": tools[0],
+            "run_cassette": str(tmp_path / "run.json"), "out": str(tmp_path / "out.json"),
+            "chain": write(tmp_path, "chain.json", plan_text(
+                [(f"n{i}", f"t{i}") for i in range(4 * n)], [(f"n{i}", f"n{i + 1}") for i in range(4 * n - 1)])),
+            "junk": write(tmp_path, "junk.jsonl", "{junk\n" * len(ids)),
+            "junk_predictions": write(tmp_path, "predictions.jsonl", "".join(
+                json.dumps({"id": i, "candidate": "{junk"}) + "\n" for i in ids)),
+            "summary": write(tmp_path, "summary.json", json.dumps({"branches": branches, "mean_value": 1.0})),
+            "bad_summary": write(tmp_path, "bad.json", json.dumps({"branches": list(branches)}))}
+
+
+# Per subcommand: the argv of a run that succeeds and of one down a failure
+# path, over ``sized_inputs``; ``busy`` is a server that answers 503 to everything.
+SIZED_RUNS = {
+    "validate": (["validate", "{chain}"], ["validate", "{junk}"]),
+    "score": (["score", "--candidates", "{data}", "--golds", "{data}", "--out", "{out}"],
+              ["score", "--candidates", "{junk}", "--golds", "{data}", "--out", "{out}"]),
+    "eval": (["eval", "--predictions", "{data}", "--dataset", "{data}", "--out", "{out}"],
+             ["eval", "--predictions", "{junk_predictions}", "--dataset", "{data}", "--out", "{out}"]),
+    "gen": (["gen", "--offline", "--counts", "Easy={n}", "--out", "{out}"],
+            ["gen", "--base-url", "{busy}", "--counts", "Easy={n}", "--out", "{out}"]),
+    "curate": (["curate", "--dataset", "{data}", "--fixture", "{cassette}", "--out", "{out}"],
+               ["curate", "--dataset", "{data}", "--base-url", "{busy}", "--rollouts", "2", "--out", "{out}"]),
+    "exec": (["exec", "--plan", "{chain}"], ["exec", "--plan", "{chain}", "--fail", "t1", "--trace-out", "{out}"]),
+    "run": (["run", "--query", "merge the reports", "--candidates", "{tools}", "--fixture", "{run_cassette}",
+             "--trace-out", "{out}"],
+            ["run", "--query", "merge the reports", "--candidates", "{tools}", "--fixture", "{run_cassette}",
+             "--fail", "{first_tool}"]),
+    "report": (["report", "{summary}"], ["report", "{bad_summary}"]),
+}
+
+
+@pytest.fixture
+def no_backoff(monkeypatch):
+    """HTTP retries go out at once instead of after their backoff sleeps."""
+    monkeypatch.setattr(clients, "time", types.SimpleNamespace(sleep=lambda seconds: None))
+
+
+@pytest.mark.parametrize("command, failing", [(c, f) for c in sorted(SIZED_RUNS) for f in (False, True)],
+                         ids=[c + ("-failing" if f else "") for c in sorted(SIZED_RUNS) for f in (False, True)])
+def test_main_leaves_no_reference_cycles(tmp_path, capsys, no_backoff, command, failing):
+    # Each command runs with the collector paused, so any cyclic garbage it
+    # makes stays until the next collection: it must not grow with the input
+    # or with the number of failures.  The first run also starts what a process
+    # starts once (such as the shared pool's threads), so it is not compared.
+    left = []
+    with loopback(503, b"{}") as busy:
+        for run, n in enumerate((1, 1, 3)):
+            inputs = {**sized_inputs(tmp_path / str(run), n), "busy": busy}
+            argv = [a.format(**inputs) for a in SIZED_RUNS[command][failing]]
+            left.append(cycles_left_by(lambda: main(argv)))
+    assert left[2] == left[1]
+    # json's indenting encoder leaves a constant; a run that writes no JSON leaves nothing.
+    if "{out}" not in SIZED_RUNS[command][failing]:
+        assert left[1] == 0
+
+
+def test_main_pauses_the_collector_for_the_command_alone(tmp_path, monkeypatch):
+    seen = []
+
+    def read_text_spy(path):
+        seen.append(gc.isenabled())
+        return read_text(path)
+
+    def interrupt(path):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "read_text", read_text_spy)
+    runs = [(["validate", write(tmp_path, "ok.json", VALID)], 0),
+            (["validate", write(tmp_path, "cyclic.json", CYCLIC)], 1),
+            (["validate", str(tmp_path / "absent.json")], 2)]
+    try:
+        for collecting in (True, False):
+            (gc.enable if collecting else gc.disable)()
+            for argv, code in runs:
+                assert main(argv) == code
+                assert gc.isenabled() is collecting
+        gc.enable()
+        monkeypatch.setattr(cli, "read_text", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main(runs[0][0])
+        assert gc.isenabled()
+    finally:
+        gc.enable()
+    assert seen == [False] * 6
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="counts open descriptors in /proc/self/fd")
+def test_gen_against_a_busy_server_leaves_no_socket_open(tmp_path, no_backoff):
+    # A retried 503 must not keep its response, and so its socket, in cyclic
+    # garbage that only a collection would free.
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(os.listdir("/proc/self/fd"))
+        with loopback(503, b"{}") as busy:
+            code = main(["gen", "--base-url", busy, "--counts", "Easy=2", "--out", str(tmp_path / "gen.jsonl")])
+        after = len(os.listdir("/proc/self/fd"))
+    finally:
+        gc.enable()
+    assert code == 1
+    assert after <= before
+
+
+def test_gen_counts_a_completion_that_is_not_utf8_as_a_client_error(tmp_path, capsys):
+    out = tmp_path / "gen.jsonl"
+    with loopback(200, b"\xff\xfe") as url:
+        assert main(["gen", "--base-url", url, "--counts", "Easy=1", "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    stats = json.loads((tmp_path / "gen.jsonl.stats.json").read_text())
+    assert sum(stats["generated"].values()) == 0
+    assert stats["client_errors"] == stats["attempts"] > 0
+
+
+def test_curate_leaves_a_task_whose_completion_is_not_utf8_unprofiled(tmp_path, capsys):
+    inputs = manifest_inputs(tmp_path)
+    with loopback(200, b"\xff\xfe") as url:
+        assert main(["curate", "--dataset", inputs["data"], "--base-url", url, "--rollouts", "2",
+                     "--out", str(tmp_path / "kept.jsonl")]) == 0
+    stats = json.loads((tmp_path / "kept.jsonl.stats.json").read_text())
+    assert stats["unprofiled"] == stats["input_count"] == 2
 
 
 # --- manifests -----------------------------------------------------------------
@@ -962,9 +1096,10 @@ MANIFEST_RUNS = {
 }
 
 
-def manifest_inputs(tmp_path) -> dict[str, str]:
-    """The input files the MANIFEST_RUNS read; two cassettes with the same entries."""
-    records, _ = build_dataset(LIB, {"Easy": 2}, seed=6)
+def manifest_inputs(tmp_path, count: int = 2) -> dict[str, str]:
+    """The input files the MANIFEST_RUNS read, over ``count`` records; two
+    cassettes with the same entries."""
+    records, _ = build_dataset(LIB, {"Easy": count}, seed=6)
     save_records(records, tmp_path / "data.jsonl")
     plan = plan_text([("a", RUN_TOOLS[0]), ("b", RUN_TOOLS[1])], [("a", "b")])
     entries = {fixture_key(replan_prompt("merge the reports", LIB.subset(tools))): plan

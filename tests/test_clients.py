@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -18,6 +19,8 @@ from dagplan import (
     fixture_key,
     save_cassette,
 )
+from dagplan.plan import FormatError
+from helpers import loopback
 
 
 class ScriptedEndpoint:
@@ -196,6 +199,25 @@ def test_http_client_rejects_malformed_response_shape():
             client.complete("p")
     finally:
         endpoint.close()
+
+
+def test_http_client_body_that_is_not_utf8_is_a_client_error():
+    with loopback(200, b"\xff\xfe") as url:
+        client = HttpCompletionClient(url, "m", backoff=0.01)
+        with pytest.raises(ClientError, match="/chat/completions: response body is not UTF-8"):
+            client.complete("p")
+
+
+@pytest.mark.parametrize("base_url, settings, message", [
+    ("nonsense", {}, "base URL 'nonsense' does not start with http:// or https://"),
+    ("ftp://127.0.0.1:9", {}, "does not start with http:// or https://"),
+    ("http://127.0.0.1:9", {"timeout": "soon"}, "timeout 'soon' is not a number of seconds above 0"),
+    ("http://127.0.0.1:9", {"timeout": True}, "timeout True is not"),
+    ("http://127.0.0.1:9", {"timeout": 0}, "timeout 0 is not"),
+], ids=["not-a-url", "ftp", "timeout-string", "timeout-bool", "timeout-zero"])
+def test_http_client_rejects_in_memory_what_client_settings_reject(base_url, settings, message):
+    with pytest.raises(FormatError, match=re.escape(message)):
+        HttpCompletionClient(base_url, "m", **settings)
 
 
 def test_http_client_body_nested_too_deep_is_a_client_error():

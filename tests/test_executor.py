@@ -39,7 +39,7 @@ from dagplan import (
     trace_to_dot,
 )
 from dagplan.executor import MAX_WORKERS, _map_jobs, preflight
-from helpers import chain_plan, cycles_left_by, fan_out_plan, make_plan, random_gold
+from helpers import chain_plan, cycles_left_by, fan_out_plan, loopback, make_plan, random_gold
 
 
 def longest_path_oracle(g: PlanGraph) -> int:
@@ -422,6 +422,14 @@ def test_http_registry_keeps_a_body_that_is_not_strict_json_as_text():
         endpoint.close()
     assert out == {"text": '{"echo": {"x": NaN}, "path": "/"}'}
     json.dumps(out, allow_nan=False)  # a trace holding it is still JSON
+
+
+def test_http_registry_node_whose_body_is_not_utf8_fails_with_a_tool_error():
+    with loopback(200, b"\xff\xfe") as url:
+        registry = HttpRegistry({"t": {"url": url}}, backoff=0.01)
+        trace = execute(make_plan([("a", "t")], []), registry)
+    assert trace.nodes["a"].status == "failed"
+    assert trace.nodes["a"].error == "t: response body is not UTF-8"
 
 
 # --- end to end ----------------------------------------------------------------------

@@ -116,3 +116,21 @@ def test_readme_states_the_limits_the_code_sets():
     for pattern, value in stated.items():
         found = [int(n.replace(",", "")) for n in re.findall(pattern, text)]
         assert found and set(found) == {value}, (pattern, found, value)
+
+
+def test_only_cli_main_names_the_cycle_collector():
+    # The CLI pauses the collector around a command; a pause in a library
+    # function would reach every library caller too.
+    found = set()
+    for path in sorted(Path(dagplan.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Name) and node.id == "gc"
+                    or isinstance(node, ast.alias) and node.name.partition(".")[0] == "gc"
+                    or isinstance(node, ast.ImportFrom) and node.module == "gc"):
+                scope = node
+                while scope in parents and not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    scope = parents[scope]
+                found.add((path.name, getattr(scope, "name", "<module>")))
+    assert found == {("cli.py", "<module>"), ("cli.py", "main")}
