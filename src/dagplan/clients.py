@@ -14,8 +14,6 @@ import json
 import os
 import threading
 import time
-import urllib.error
-import urllib.request
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -41,7 +39,10 @@ class CompletionClient(abc.ABC):
 
 
 def http_request(
-    request: urllib.request.Request,
+    url: str,
+    data: bytes | None,
+    headers: Mapping[str, str],
+    method: str,
     timeout: float,
     *,
     attempts: int,
@@ -50,14 +51,22 @@ def http_request(
     error: type[Exception],
     label: str,
 ) -> str:
-    """Send one HTTP request and return the decoded body, retrying transient failures.
+    """Send ``method url`` with body ``data`` and ``headers``; return the decoded body,
+    retrying transient failures.
 
     Connection errors, timeouts and HTTP 429/5xx are retried, up to
     ``attempts`` tries in all; try k > 0 first sleeps
     ``min(backoff * 2**(k-1), max_backoff)`` seconds.  Any other HTTP status, a
     body that is not UTF-8, or running out of attempts, raises ``error`` with
-    ``label`` in its message.
+    ``label`` in its message; the response of an HTTP error is closed first.
+    This is the one place that imports ``urllib.request``: it pulls in
+    ``http.client``, ``email``, ``ssl`` and ``socket``, so they load at the
+    first request, and offline runs never load them.
     """
+    import urllib.error
+    import urllib.request
+
+    request = urllib.request.Request(url, data=data, headers=headers, method=method)
     last = ""  # the message, not the exception: its traceback would hold this frame
     for attempt in range(attempts):
         if attempt:
@@ -68,10 +77,11 @@ def http_request(
         except UnicodeDecodeError as exc:
             raise error(f"{label}: response body is not UTF-8") from exc
         except urllib.error.HTTPError as exc:
+            exc.close()  # its unread response holds the socket, and the raised error keeps exc as its cause
             if exc.code != 429 and exc.code < 500:
                 raise error(f"{label}: HTTP {exc.code}") from exc
             last = str(exc)
-        except (urllib.error.URLError, TimeoutError, OSError) as exc:
+        except OSError as exc:  # URLError and TimeoutError included
             last = str(exc)
     raise error(f"{label}: failed after {attempts} attempts: {last}")
 
@@ -135,7 +145,7 @@ class HttpCompletionClient(CompletionClient):
             headers["Authorization"] = f"Bearer {secret}"
         url = f"{self.base_url}/chat/completions"
         text = http_request(
-            urllib.request.Request(url, data=body, headers=headers, method="POST"), self.timeout,
+            url, body, headers, "POST", self.timeout,
             attempts=self.max_retries, backoff=self.backoff, max_backoff=self.max_backoff,
             error=ClientError, label=url,
         )

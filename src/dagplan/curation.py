@@ -103,7 +103,10 @@ def profile_task(
     """
     (profile,) = _profile([record], planner, n, bounds, retries, 1)
     if isinstance(profile, ClientError):
-        raise profile
+        try:
+            raise profile
+        finally:
+            del profile  # a local naming the raised error would tie it to its own traceback
     return profile
 
 

@@ -55,7 +55,6 @@ import os
 import threading
 import time
 import urllib.parse
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -199,7 +198,7 @@ class HttpRegistry(ToolRegistry):
         else:
             data = json.dumps(dict(args)).encode("utf-8")
         body = http_request(
-            urllib.request.Request(url, data=data, headers=headers, method=method), timeout,
+            url, data, headers, method, timeout,
             attempts=self._retries + 1, backoff=self._backoff, max_backoff=math.inf,
             error=ToolError, label=tool_id,
         )
@@ -504,7 +503,14 @@ def _map_jobs(fn: Callable[[Any], Any], items: Sequence[Any], workers: int) -> l
 
     _drive(list(range(len(items))), run, results.__setitem__, min(max(workers, 1), MAX_WORKERS + 1))
     if failures:
-        raise failures[min(failures)]
+        # Each failure's traceback reaches ``failures`` through ``run``'s closure,
+        # and a local naming the raised one would reach it from its own traceback.
+        first = failures[min(failures)]
+        failures.clear()
+        try:
+            raise first
+        finally:
+            del first
     return results
 
 

@@ -91,6 +91,10 @@ class PlanGraph:
     representable (the parser rejects them unless told to keep them for
     cycle-penalty classification).
 
+    The node count is not bounded here: ``MAX_PLAN_NODES`` is the parser's
+    limit on plans it reads, and a graph built in memory may be larger, so a
+    caller that builds one from untrusted input bounds it itself.
+
     Equality is set-based: two graphs are equal iff their node sets (id, tool,
     args) and edge sets (src, dst) coincide, regardless of storage order.
 

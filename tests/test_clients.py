@@ -3,28 +3,34 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dagplan import (
     ClientError,
     EmptyResponseError,
     FixtureClient,
     HttpCompletionClient,
+    HttpRegistry,
     RecordingClient,
     ScriptedClient,
+    execute,
     fixture_key,
     save_cassette,
 )
 from dagplan.plan import FormatError
-from helpers import loopback
+from helpers import loopback, make_plan
 
 
 class ScriptedEndpoint:
-    """One-shot HTTP server answering from a queue of (status, body) pairs."""
+    """One-shot HTTP server answering from a queue of (status, body) pairs; a
+    body is text, sent as UTF-8, or raw bytes."""
 
     def __init__(self, responses):
         self.responses = list(responses)
@@ -40,7 +46,7 @@ class ScriptedEndpoint:
                     "body": json.loads(self.rfile.read(length) or b"{}"),
                 })
                 status, body = outer.responses.pop(0)
-                payload = body.encode("utf-8")
+                payload = body if isinstance(body, bytes) else body.encode("utf-8")
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(payload)))
@@ -208,6 +214,23 @@ def test_http_client_body_that_is_not_utf8_is_a_client_error():
             client.complete("p")
 
 
+def test_http_client_errors_that_are_held_keep_no_socket_open():
+    # A ClientError keeps the HTTPError, and so its response, as __cause__; a
+    # caller that holds the errors (curate holds one per unprofiled record)
+    # must not hold their sockets with them.
+    before = len(os.listdir("/proc/self/fd"))
+    held = []
+    with loopback(400, b"{}") as url:
+        client = HttpCompletionClient(url, "m", backoff=0.0)
+        for _ in range(20):
+            with pytest.raises(ClientError, match="HTTP 400") as caught:
+                client.complete("p")
+            held.append(caught.value)
+    after = len(os.listdir("/proc/self/fd"))
+    assert [type(error.__cause__).__name__ for error in held] == ["HTTPError"] * 20
+    assert after <= before
+
+
 @pytest.mark.parametrize("base_url, settings, message", [
     ("nonsense", {}, "base URL 'nonsense' does not start with http:// or https://"),
     ("ftp://127.0.0.1:9", {}, "does not start with http:// or https://"),
@@ -228,3 +251,86 @@ def test_http_client_body_nested_too_deep_is_a_client_error():
             client.complete("p")
     finally:
         endpoint.close()
+
+
+# --- HTTP bodies, fuzzed: every response is text or a classified error --------
+
+STATUSES = st.sampled_from([200, 400, 404, 429, 500, 503])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+)
+CHAT_BODIES = st.builds(lambda content: chat_body(content).encode("utf-8"), st.text() | JSON_VALUES)
+
+
+@st.composite
+def damaged(draw, bodies, how: str) -> bytes:
+    """A drawn body with bytes flipped, cut short, or with a byte that no UTF-8 text holds."""
+    body = bytearray(draw(bodies))
+    if how == "flip":
+        for index in draw(st.lists(st.integers(0, len(body) - 1), min_size=1, max_size=4)):
+            body[index] ^= draw(st.integers(1, 255))
+    elif how == "truncate":
+        del body[draw(st.integers(0, len(body) - 1)):]
+    else:
+        body.insert(draw(st.integers(0, len(body))), draw(st.integers(0xF8, 0xFF)))
+    return bytes(body)
+
+
+RESPONSE_BODIES = st.one_of(
+    CHAT_BODIES,
+    JSON_VALUES.map(lambda value: json.dumps(value).encode("utf-8")),
+    damaged(CHAT_BODIES, "flip"),
+    damaged(CHAT_BODIES, "truncate"),
+    damaged(CHAT_BODIES, "non-utf8"),
+    st.integers(1, 100_000).map(lambda depth: b'{"choices": ' + b"[" * depth + b"]" * depth + b"}"),
+    st.integers(300, 6000).map(lambda digits: chat_body("x")[:-1].encode() + b', "n": 1' + b"0" * digits + b"}"),
+    st.sampled_from([b"1e400", b"-1e400", b'{"choices": [{"message": {"content": 1e999}}]}']),
+    st.sampled_from(["\\ud800", "a\\udfff", "\\ud83d"]).map(
+        lambda escape: ('{"choices": [{"message": {"content": "%s"}}]}' % escape).encode("ascii")),
+)
+
+
+def utf8(body: bytes) -> bool:
+    try:
+        body.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def endpoint():
+    """One loopback server for every example; each sets its one reply."""
+    server = ScriptedEndpoint([])
+    yield server
+    server.close()
+
+
+@settings(max_examples=60, deadline=None)
+@given(status=STATUSES, body=RESPONSE_BODIES)
+def test_http_client_returns_text_or_raises_client_error(endpoint, status, body):
+    endpoint.responses = [(status, body)]
+    client = HttpCompletionClient(endpoint.url, "m", max_retries=1, backoff=0.0)
+    try:
+        text = client.complete("p")
+    except ClientError as exc:
+        if status == 200:
+            assert utf8(body) or "response body is not UTF-8" in str(exc)
+        else:  # "HTTP 400" is not retried; "HTTP Error 503: ..." was, up to the one attempt
+            assert re.search(rf"HTTP (Error )?{status}\b", str(exc))
+    else:
+        assert status == 200 and isinstance(text, str) and text.strip()
+    assert endpoint.responses == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(status=STATUSES, body=RESPONSE_BODIES)
+def test_http_registry_node_is_ok_or_failed(endpoint, status, body):
+    endpoint.responses = [(status, body)]
+    registry = HttpRegistry({"t1": {"url": endpoint.url + "/{tool}"}}, retries=0, backoff=0.0)
+    trace = execute(make_plan([("a", "t1")], []), registry)
+    # Any UTF-8 body of a 200 is an output: JSON decoded, anything else as {"text": body}.
+    assert trace.nodes["a"].status == ("ok" if status == 200 and utf8(body) else "failed")
+    assert endpoint.responses == []

@@ -142,6 +142,14 @@ def test_curate_with_jobs_leaves_no_reference_cycles():
     assert cycles_left_by(lambda: curate(records, planner, 5, jobs=2)) == 0
 
 
+def test_profile_task_that_raises_leaves_no_reference_cycles():
+    def unprofiled():
+        with pytest.raises(ClientError, match="injected"):
+            profile_task(RECORDS[0], FailingClient(), 5, retries=2)
+
+    assert cycles_left_by(unprofiled) == 0
+
+
 def test_curate_is_idempotent_on_the_kept_set():
     records = RECORDS[:3]
     patterns = [[1, 0, 1, 0, 0], [0, 1, 0, 0, 0], [1, 1, 0, 1, 1]]

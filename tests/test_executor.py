@@ -790,6 +790,20 @@ def test_map_jobs_leaves_no_reference_cycles(workers):
     assert cycles_left_by(lambda: _map_jobs(str, list(range(100)), workers)) == 0
 
 
+@pytest.mark.parametrize("workers", [1, 4])
+def test_map_jobs_aborted_by_failures_leaves_no_reference_cycles(workers):
+    def job(i):
+        if i % 3 == 2:
+            raise ValueError(i)
+        return i
+
+    def aborted():
+        with pytest.raises(ValueError):
+            _map_jobs(job, list(range(40)), workers)
+
+    assert cycles_left_by(aborted) == 0
+
+
 def test_run_end_to_end_leaves_no_reference_cycles():
     def run():
         planner = ScriptedClient([serialize_plan(DIAMOND)])

@@ -13,25 +13,60 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import dagplan
 from dagplan import executor, plan
 
-PROBE = """
-import json, sys
-before = set(sys.modules)
-import dagplan
-print(json.dumps(sorted(set(sys.modules) - before)))
-"""
+def modules_loaded_by(module: str) -> set[str]:
+    """The modules a fresh interpreter loads to import ``module``."""
+    src = str(Path(dagplan.__file__).resolve().parent.parent)
+    probe = (f"import json, sys\nbefore = set(sys.modules)\nimport {module}\n"
+             "print(json.dumps(sorted(set(sys.modules) - before)))")
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    return set(json.loads(out))
+
+
+def scopes_of(match) -> set[tuple[str, str]]:
+    """``(file, enclosing function or "<module>")`` of each AST node in
+    ``src/dagplan`` that ``match`` accepts."""
+    found = set()
+    for path in sorted(Path(dagplan.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in filter(match, ast.walk(tree)):
+            scope = node
+            while scope in parents and not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = parents[scope]
+            found.add((path.name, getattr(scope, "name", "<module>")))
+    return found
 
 
 def test_import_loads_only_the_standard_library():
-    src = str(Path(dagplan.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True,
-                         text=True, check=True, timeout=60).stdout
-    loaded = {name.partition(".")[0] for name in json.loads(out)}
+    loaded = {name.partition(".")[0] for name in modules_loaded_by("dagplan")}
     foreign = sorted(loaded - set(sys.stdlib_module_names) - {"dagplan"})
     assert foreign == [], f"import dagplan loaded non-stdlib modules: {foreign}"
+
+
+@pytest.mark.parametrize("module", ["dagplan", "dagplan.cli"])
+def test_import_loads_no_http_stack(module):
+    # Offline runs (replay, curation, eval, gen --offline) never speak HTTP, so
+    # the HTTP stack loads at the first live request, not at import.
+    http_stack = ["urllib.request", "urllib.error", "http.client", "email", "ssl", "socket"]
+    assert sorted(set(http_stack) & modules_loaded_by(module)) == []
+
+
+def test_only_http_request_imports_the_http_stack():
+    # One owner: `clients.http_request` imports urllib.request and urllib.error
+    # in its body, so they load at the first request and never at import.
+    def imports_http_stack(node):
+        names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                 else [f"{node.module}.{alias.name}" for alias in node.names]
+                 if isinstance(node, ast.ImportFrom) and node.module else [])
+        return any(name.startswith(("urllib.request", "urllib.error")) for name in names)
+
+    assert scopes_of(imports_http_stack) == {("clients.py", "http_request")}
 
 
 # The public API, fixed by the ROADMAP: every name `dagplan/__init__.py` exports.
@@ -121,16 +156,9 @@ def test_readme_states_the_limits_the_code_sets():
 def test_only_cli_main_names_the_cycle_collector():
     # The CLI pauses the collector around a command; a pause in a library
     # function would reach every library caller too.
-    found = set()
-    for path in sorted(Path(dagplan.__file__).resolve().parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.Name) and node.id == "gc"
-                    or isinstance(node, ast.alias) and node.name.partition(".")[0] == "gc"
-                    or isinstance(node, ast.ImportFrom) and node.module == "gc"):
-                scope = node
-                while scope in parents and not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    scope = parents[scope]
-                found.add((path.name, getattr(scope, "name", "<module>")))
-    assert found == {("cli.py", "<module>"), ("cli.py", "main")}
+    def names_gc(node):
+        return (isinstance(node, ast.Name) and node.id == "gc"
+                or isinstance(node, ast.alias) and node.name.partition(".")[0] == "gc"
+                or isinstance(node, ast.ImportFrom) and node.module == "gc")
+
+    assert scopes_of(names_gc) == {("cli.py", "<module>"), ("cli.py", "main")}

@@ -7,6 +7,7 @@ order against a per-edge position check.
 
 from __future__ import annotations
 
+import json
 import random
 import re
 
@@ -403,6 +404,20 @@ def test_plans_over_the_node_limit_are_a_syntax_failure():
     assert validate_text(text).failed_check == "syntax"
     gold = make_plan([("a", "t1"), ("b", "t2")], [("a", "b")])
     assert score_plan(text, gold).branch is RewardBranch.SYNTAX
+
+
+def test_node_limit_binds_the_parser_and_not_a_graph_built_in_memory():
+    from dagplan.plan import MAX_PLAN_NODES
+
+    n = MAX_PLAN_NODES + 1
+    nodes = [(f"n{i}", f"t{i}") for i in range(n)]
+    edges = [(f"n{i}", f"n{i + 1}") for i in range(n - 1)]
+    graph = make_plan(nodes, edges)
+    assert len(graph.nodes) == n
+    with pytest.raises(PlanSyntaxError, match=f"{n} nodes, more than {MAX_PLAN_NODES}"):
+        parse_plan(serialize_plan(graph))
+    with pytest.raises(PlanSyntaxError, match=f"{n} nodes, more than {MAX_PLAN_NODES}"):
+        parse_plan(json.loads(serialize_plan(graph)))
 
 
 def test_plan_text_over_the_length_limit_is_a_syntax_failure_before_decoding():
