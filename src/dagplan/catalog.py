@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
-from .plan import FormatError, is_unicode, read_json
+from .plan import FormatError, _field, read_config
 
 PARAM_TYPES = ("string", "number", "boolean", "object", "array")
 
@@ -139,61 +139,59 @@ class ToolLibrary:
         return [self[tid] for tid in tool_ids]
 
 
-def _parse_tool(obj: Any, index: int) -> ToolSpec:
-    if not isinstance(obj, dict):
-        raise MalformedCatalogError(f"tool #{index} is not an object")
-    unknown = set(obj) - _KNOWN_TOOL_FIELDS
+_ID = (lambda v: isinstance(v, str) and v != "", "a non-empty string")
+_PARAMS = (lambda v: isinstance(v, list) and all(isinstance(p, dict) for p in v), "an array of objects")
+_SCHEMA = (lambda v: v is None or isinstance(v, dict), "an object or null")
+
+
+def _warn_unknown(obj: dict[str, Any], known: set[str], label: str) -> None:
+    unknown = set(obj) - known
     if unknown:
-        warnings.warn(
-            f"tool #{index}: ignoring unknown fields {sorted(unknown)}",
-            stacklevel=3,
-        )
+        warnings.warn(f"{label}: ignoring unknown fields {sorted(unknown)}", stacklevel=4)
+
+
+def _parse_tool(obj: Any, index: int) -> ToolSpec:
+    """Tool ``index`` of a catalog document; a FormatError names the tool, by its
+    id once the document gives one, and the field."""
+    if not isinstance(obj, dict):
+        raise FormatError(f"tool #{index} is not an object")
+    _warn_unknown(obj, _KNOWN_TOOL_FIELDS, f"tool #{index}")
     tool_id = obj.get("id")
-    if not isinstance(tool_id, str) or not tool_id:
-        raise MalformedCatalogError(f"tool #{index} has no usable id")
-    raw_params = obj.get("params", [])
-    if not isinstance(raw_params, list):
-        raise MalformedCatalogError(f"tool {tool_id!r}: params is not an array")
-    params = []
-    for j, p in enumerate(raw_params):
-        if not isinstance(p, dict):
-            raise MalformedCatalogError(f"tool {tool_id!r}: param #{j} is not an object")
-        unknown_p = set(p) - _KNOWN_PARAM_FIELDS
-        if unknown_p:
-            warnings.warn(
-                f"tool {tool_id!r} param #{j}: ignoring unknown fields {sorted(unknown_p)}",
-                stacklevel=3,
-            )
-        name = p.get("name")
-        if not isinstance(name, str):
-            raise MalformedCatalogError(f"tool {tool_id!r}: param #{j} has no name")
-        params.append(
-            ToolParam(name, p.get("type", "string"), bool(p.get("required", True)))
-        )
-    schema = obj.get("output_schema")
-    if schema is not None and not isinstance(schema, dict):
-        raise MalformedCatalogError(f"tool {tool_id!r}: output_schema is not an object")
-    tool = ToolSpec(
-        id=tool_id,
-        name=str(obj.get("name", tool_id)),
-        description=str(obj.get("description", "")),
-        params=tuple(params),
-        output_schema=schema,
-    )
-    strings = "".join([tool.id, tool.name, tool.description, *(p.name for p in tool.params)])
-    if not (is_unicode(strings) and is_unicode(schema)):
-        raise MalformedCatalogError(f"tool {tool_id!r}: a string is not valid Unicode")
-    return tool
+    label = f"tool {tool_id!r}" if isinstance(tool_id, str) and tool_id else f"tool #{index}"
+    try:
+        tool_id = _field(obj, "id", _ID)
+        params = []
+        for j, param in enumerate(_field(obj, "params", _PARAMS, [])):
+            _warn_unknown(param, _KNOWN_PARAM_FIELDS, f"tool {tool_id!r} param #{j}")
+            where = f"params[{j}]."
+            params.append(ToolParam(_field(param, "name", str, where=where),
+                                    _field(param, "type", str, "string", where),
+                                    _field(param, "required", bool, True, where)))
+        name = _field(obj, "name", str, tool_id)
+        description = _field(obj, "description", str, "")
+        schema = _field(obj, "output_schema", _SCHEMA, None)
+    except FormatError as exc:
+        exc.args = (f"{label}: {exc}",)
+        raise
+    return ToolSpec(tool_id, name, description, tuple(params), schema)
 
 
 def load_library(path: str | Path) -> ToolLibrary:
-    """Load a catalog file, rejecting parse failures and duplicate ids."""
+    """Load a catalog file; a MalformedCatalogError names the file, and the tool
+    and field at fault, or the repeated id (a DuplicateToolIdError)."""
     path = Path(path)
-    doc = read_json(path, MalformedCatalogError)
-    if not isinstance(doc, list):
-        raise MalformedCatalogError(f"{path}: top-level value is not an array")
-    tools = [_parse_tool(obj, i) for i, obj in enumerate(doc)]
-    return ToolLibrary(tuple(tools), source=str(path))
+
+    def build(doc: Any) -> ToolLibrary:
+        if not isinstance(doc, list):
+            raise FormatError("top-level value is not an array")
+        return ToolLibrary(tuple(_parse_tool(obj, i) for i, obj in enumerate(doc)), source=str(path))
+
+    try:
+        return read_config(path, build)
+    except MalformedCatalogError:
+        raise
+    except FormatError as exc:
+        raise MalformedCatalogError(str(exc)) from None
 
 
 def serialize_library(library: ToolLibrary) -> str:

@@ -60,7 +60,7 @@ from .pipeline import (
     load_records,
     save_records,
 )
-from .plan import (FormatError, PlanSyntaxError, decode_json, parse_plan, read_json,
+from .plan import (FormatError, PlanSyntaxError, _field, decode_json, parse_plan, read_config,
                    read_lines, read_text, to_dot, validate_text)
 from .reward import score_plan
 
@@ -99,15 +99,21 @@ def _write_manifest(out_path: str | Path, args: argparse.Namespace, **resolved: 
     _write_json(str(out_path) + ".manifest.json", manifest)
 
 
+def _client_config(doc: Any) -> dict[str, Any]:
+    """The settings a client config document holds; FormatError naming a field of the wrong kind."""
+    if not isinstance(doc, dict):
+        raise FormatError("top-level value is not an object")
+    kinds = {"base_url": str, "model": str, "api_key_env": str,
+             "timeout": (valid_timeout, "a number of seconds above 0")}
+    return {key: _field(doc, key, kind) for key, kind in kinds.items() if key in doc}
+
+
 def _resolve_client(args: argparse.Namespace) -> CompletionClient | None:
     if args.offline:
         return None
     if args.fixture:
         return FixtureClient(args.fixture)
-    file_cfg = read_json(args.client_config) if args.client_config else {}
-    if (not isinstance(file_cfg, dict) or ("timeout" in file_cfg and not valid_timeout(file_cfg["timeout"]))
-            or any(not isinstance(file_cfg.get(k, ""), str) for k in ("base_url", "model", "api_key_env"))):
-        raise FormatError(f'{args.client_config}: not an object of strings and a numeric "timeout" above 0')
+    file_cfg = read_config(args.client_config, _client_config) if args.client_config else {}
     # The resolved settings go back onto args, so the manifest records what was used.
     args.base_url = args.base_url or os.environ.get("DAGPLAN_BASE_URL") or file_cfg.get("base_url")
     if not args.base_url:
@@ -398,34 +404,29 @@ def cmd_run(args: argparse.Namespace) -> int:
 # --- report ---------------------------------------------------------------
 
 
-def _numbers(value: Any, field: str) -> dict[str, Any]:
-    """``value`` if it is an object of numbers; FormatError naming ``field`` otherwise."""
-    if not isinstance(value, dict) or not all(isinstance(v, (int, float)) for v in value.values()):
-        raise FormatError(f'field "{field}" is not an object of numbers')
-    return value
+_NUMBERS = (lambda v: isinstance(v, dict) and all(isinstance(n, (int, float)) for n in v.values()),
+            "an object of numbers")
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    doc = read_json(args.summary)
+def _print_summary(doc: Any) -> None:
+    """Print a summary document as the table its sections call for, or as JSON;
+    FormatError naming a section of the wrong type, before anything is printed."""
     fields = doc if isinstance(doc, dict) else {}
     if "groups" in fields:
-        if not isinstance(doc["groups"], dict):
-            raise FormatError('field "groups" is not an object')
-        for name, group in doc["groups"].items():
-            _numbers(group, f"groups.{name}")
-        _numbers(doc.get("overall", {}), "overall")
+        groups = _field(doc, "groups", dict)
+        for name in groups:
+            _field(groups, name, _NUMBERS, where="groups.")
+        _field(doc, "overall", _NUMBERS, {})
         _print_metrics_table(doc)
     elif "branches" in fields:
-        branches = _numbers(doc["branches"], "branches")
-        mean_value = doc.get("mean_value", 0.0)
-        if not isinstance(mean_value, (int, float)):
-            raise FormatError('field "mean_value" is not a number')
+        branches = _field(doc, "branches", _NUMBERS)
+        mean_value = _field(doc, "mean_value", (int, float), 0.0)
         print(f"{'branch':<14}{'count':>7}")
         for branch, count in branches.items():
             print(f"{branch:<14}{count:>7}")
         print(f"{'mean_value':<14}{mean_value:>7.3f}")
     elif "histogram" in fields:
-        histogram = _numbers(doc["histogram"], "histogram")
+        histogram = _field(doc, "histogram", _NUMBERS)
         print(f"kept {doc.get('kept')} / {doc.get('input_count')} "
               f"(easy {doc.get('excluded_easy')}, hard {doc.get('excluded_hard')}, "
               f"unprofiled {doc.get('unprofiled')})")
@@ -433,8 +434,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         for rate, count in histogram.items():
             print(f"{rate:<12}{count:>7}")
     elif "generated" in fields:
-        requested = _numbers(doc.get("requested", {}), "requested")
-        generated = _numbers(doc["generated"], "generated")
+        requested = _field(doc, "requested", _NUMBERS, {})
+        generated = _field(doc, "generated", _NUMBERS)
         print(f"{'difficulty':<12}{'requested':>10}{'generated':>10}")
         for difficulty in DIFFICULTIES:
             if difficulty in requested:
@@ -442,6 +443,10 @@ def cmd_report(args: argparse.Namespace) -> int:
                       f"{generated.get(difficulty, 0):>10}")
     else:
         print(json.dumps(doc, indent=2, sort_keys=True))
+
+
+def cmd_report(args: argparse.Namespace) -> int:
+    read_config(args.summary, _print_summary)
     return 0
 
 

@@ -64,7 +64,7 @@ from .catalog import ToolSpec
 from .clients import CompletionClient, http_request, valid_timeout, valid_url
 # check_connectivity, detect_cycle and parse_plan stay bound for perfbench's traced runs.
 from .plan import (  # noqa: F401
-    CycleError, FormatError, PlanGraph, check_connectivity, decode_json, detect_cycle, parse_plan,
+    CycleError, FormatError, PlanGraph, _field, check_connectivity, decode_json, detect_cycle, parse_plan,
     read_config, to_dot, topo_order, validate_text,
 )
 from .prompts import replan_prompt, synthesis_prompt
@@ -139,6 +139,10 @@ class MockRegistry(ToolRegistry):
 
 DEFAULT_HTTP_TIMEOUT = 30.0
 DEFAULT_HTTP_RETRIES = 2
+# A binding's "method" and "headers", as ``HttpRegistry`` reads them.
+_METHOD = (lambda m: isinstance(m, str) and m.upper() in ("GET", "POST"), "GET or POST")
+_HEADERS = (lambda h: isinstance(h, collections.abc.Mapping)
+            and all(isinstance(k, str) and isinstance(v, str) for k, v in h.items()), "an object of strings")
 
 
 class HttpRegistry(ToolRegistry):
@@ -150,7 +154,7 @@ class HttpRegistry(ToolRegistry):
     parameters.  Transient failures retry with backoff before ToolError;
     ``retries`` counts tries after the first (by default at most 3 requests).
     ``__init__`` checks each binding, in memory or from ``from_file``, and
-    resolves it once; a bad one is a FormatError that names it.
+    resolves it once; a bad one is a FormatError that names the binding and field.
     """
 
     def __init__(
@@ -163,16 +167,14 @@ class HttpRegistry(ToolRegistry):
         if not isinstance(bindings, collections.abc.Mapping):
             raise FormatError("bindings are an object of tool id -> binding")
         self._bindings: dict[str, tuple[str, str, float, dict[str, str]]] = {}
-        for tool_id, binding in bindings.items():
-            if not isinstance(binding, collections.abc.Mapping) or not valid_url(binding.get("url")):
-                raise FormatError(f'binding {tool_id!r} has no string "url" starting http:// or https://')
-            method, headers = binding.get("method", "POST"), binding.get("headers", {})
-            timeout = binding.get("timeout", DEFAULT_HTTP_TIMEOUT)
-            if not (isinstance(method, str) and method.upper() in ("GET", "POST") and valid_timeout(timeout)
-                    and isinstance(headers, collections.abc.Mapping)
-                    and all(isinstance(k, str) and isinstance(v, str) for k, v in headers.items())):
-                raise FormatError(f'binding {tool_id!r} needs "method" GET/POST, string "headers", "timeout" > 0')
-            self._bindings[tool_id] = (binding["url"].replace("{tool}", urllib.parse.quote(tool_id, safe="")),
+        for tool_id in bindings:
+            binding, where = _field(bindings, tool_id, collections.abc.Mapping), f"{tool_id}."
+            url = _field(binding, "url", (valid_url, "a string starting http:// or https://"), where=where)
+            method = _field(binding, "method", _METHOD, "POST", where)
+            timeout = _field(binding, "timeout", (valid_timeout, "a number of seconds above 0"),
+                             DEFAULT_HTTP_TIMEOUT, where)
+            headers = _field(binding, "headers", _HEADERS, {}, where)
+            self._bindings[tool_id] = (url.replace("{tool}", urllib.parse.quote(tool_id, safe="")),
                                        method.upper(), float(timeout), {"Content-Type": "application/json", **headers})
         self._retries = retries
         self._backoff = backoff

@@ -15,6 +15,7 @@ more.
 
 from __future__ import annotations
 
+import collections.abc
 import json
 import random
 from dataclasses import asdict, dataclass, field
@@ -31,6 +32,7 @@ from .plan import (
     PlanNode,
     PlanEdge,
     PlanSyntaxError,
+    _field,
     decode_json,
     is_unicode,
     parse_plan,
@@ -73,6 +75,10 @@ class Band:
             raise ValueError(f"required range must fit inside the candidate range: {self}")
 
 
+# A band range as a config document holds it: a list or tuple of two ints, not bools.
+_RANGE = (lambda r: isinstance(r, (list, tuple)) and len(r) == 2 and all(type(x) is int for x in r),
+          "a [lo, hi] pair of integers")
+
 DEFAULT_BANDS: Mapping[str, Band] = {
     "Easy": Band(candidates=(5, 10), required=(2, 4)),
     "Medium": Band(candidates=(10, 20), required=(4, 7)),
@@ -99,12 +105,15 @@ class DifficultyConfig:
     def from_dict(cls, doc: Mapping[str, Any]) -> "DifficultyConfig":
         """Bands from a config document; FormatError unless each is an object of ``"candidates"``
         and ``"required"`` [lo, hi] integer pairs (list or tuple, no bools) that make a ``Band``."""
-        bands = doc.values() if isinstance(doc, Mapping) else [None]
-        ranges = [b.get(k) if isinstance(b, Mapping) else None for b in bands for k in ("candidates", "required")]
-        if not all(isinstance(r, (list, tuple)) and len(r) == 2 and all(type(x) is int for x in r) for r in ranges):
+        if not isinstance(doc, Mapping):
             raise FormatError('bands are objects of "candidates" and "required" [lo, hi] integers')
+        ranges = {}
+        for name in doc:
+            spec = _field(doc, name, collections.abc.Mapping)
+            ranges[name] = [tuple(_field(spec, key, _RANGE, where=f"{name}."))
+                            for key in ("candidates", "required")]
         try:
-            return cls({name: Band(tuple(spec["candidates"]), tuple(spec["required"])) for name, spec in doc.items()})
+            return cls({name: Band(*pair) for name, pair in ranges.items()})
         except ValueError as exc:
             raise FormatError(str(exc)) from None
 
@@ -200,17 +209,8 @@ class DatasetRecord:
             raise FormatError("record is not an object")
         record_id = _field(doc, "id", str)
         query = _field(doc, "query", str)
-        tools = _field(doc, "candidate_tools", list)
-        if not all(isinstance(t, str) for t in tools):
-            raise FormatError('field "candidate_tools" is not an array of strings')
-        if not is_unicode("".join(tools)):
-            raise FormatError('field "candidate_tools" is not valid Unicode')
-        try:
-            gold = plan_from_doc(_field(doc, "gold_plan", object))
-        except PlanSyntaxError as exc:
-            raise FormatError(f'field "gold_plan": {exc.reason}') from None
-        if not _plan_is_unicode(gold):
-            raise FormatError('field "gold_plan" is not valid Unicode')
+        tools = tuple(_field(doc, "candidate_tools", _STRINGS))
+        gold = _field(doc, "gold_plan", _gold_plan)
         difficulty = _field(doc, "difficulty", str)
         prov = _field(doc, "provenance", dict, {})
         provenance = Provenance(
@@ -218,28 +218,18 @@ class DatasetRecord:
             teacher_model=_field(prov, "teacher_model", (str, type(None)), None, "provenance."),
             replan_agreed=_field(prov, "replan_agreed", bool, False, "provenance."),
         )
-        return cls(record_id, query, tuple(tools), gold, difficulty, provenance)
+        return cls(record_id, query, tools, gold, difficulty, provenance)
 
 
-_REQUIRED = object()
-_JSON_TYPES = {dict: "an object", list: "an array", str: "a string", bool: "a boolean",
-               (str, type(None)): "a string or null"}
+_STRINGS = (lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v), "an array of strings")
 
 
-def _field(doc: Mapping[str, Any], name: str, kind: Any, default: Any = _REQUIRED,
-           parent: str = "") -> Any:
-    """``doc[name]``, or ``default`` when it is absent; FormatError when it is
-    absent and required, or present and not of type ``kind``."""
-    if name not in doc:
-        if default is _REQUIRED:
-            raise FormatError(f'missing field "{parent}{name}"')
-        return default
-    value = doc[name]
-    if not isinstance(value, kind):
-        raise FormatError(f'field "{parent}{name}" is not {_JSON_TYPES[kind]}')
-    if isinstance(value, str) and not is_unicode(value):
-        raise FormatError(f'field "{parent}{name}" is not valid Unicode')
-    return value
+def _gold_plan(doc: Any) -> PlanGraph:
+    """A record's gold plan; PlanSyntaxError if it is not a plan, UnicodeError if not valid Unicode."""
+    plan = plan_from_doc(doc)
+    if not _plan_is_unicode(plan):
+        raise UnicodeError("gold plan is not valid Unicode")
+    return plan
 
 
 def _plan_is_unicode(plan: PlanGraph) -> bool:

@@ -276,7 +276,7 @@ MAX_PLAN_CHARS = 1_000_000
 
 
 class FormatError(ValueError):
-    """An untrusted JSON file (dataset, cassette, registry bindings, report)
+    """An untrusted JSON file (dataset, catalog, cassette, any config, report)
     is not JSON or breaks its documented schema; the message says where."""
 
 
@@ -304,33 +304,46 @@ def decode_json(text: str, error: type[ValueError] = FormatError) -> Any:
 
 
 def is_unicode(value: Any) -> bool:
-    """Whether every string in a decoded JSON value encodes as UTF-8; a lone
-    surrogate escape such as ``"\\ud800"`` decodes to one that does not."""
+    """Whether every string in a decoded JSON value, keys included, encodes as
+    UTF-8; a lone surrogate escape such as ``"\\ud800"`` decodes to one that
+    does not.  The walk keeps its own stack, so no depth of nesting overflows."""
     if isinstance(value, str):
         if value.isascii():
             return True
+    elif isinstance(value, list):
         try:
-            value.encode("utf-8")
-        except UnicodeEncodeError:
-            return False
+            value = "".join(value)  # an array of strings is checked as one string
+        except TypeError:
+            pass
+    elif not isinstance(value, dict):
         return True
-    if isinstance(value, dict):
-        return is_unicode(list(value)) and is_unicode(list(value.values()))
-    if isinstance(value, list):
-        return all(map(is_unicode, value))
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            if not item.isascii():
+                try:
+                    item.encode("utf-8")
+                except UnicodeEncodeError:
+                    return False
+        elif isinstance(item, dict):
+            stack += item
+            stack += item.values()
+        elif isinstance(item, list):
+            stack += item
     return True
 
 
-def _not_utf8(path: str | Path, exc: UnicodeDecodeError, error: type[FormatError]) -> FormatError:
-    return error(f"{path}: not valid UTF-8 ({exc.reason}, byte 0x{exc.object[exc.start]:02x})")
+def _not_utf8(path: str | Path, exc: UnicodeDecodeError) -> FormatError:
+    return FormatError(f"{path}: not valid UTF-8 ({exc.reason}, byte 0x{exc.object[exc.start]:02x})")
 
 
-def read_text(path: str | Path, error: type[FormatError] = FormatError) -> str:
-    """The text of a UTF-8 file; ``error`` naming the file when it is not UTF-8."""
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file; a FormatError names the file when it is not UTF-8."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc, error) from None
+        raise _not_utf8(path, exc) from None
 
 
 def read_lines(path: str | Path) -> Iterator[str]:
@@ -340,25 +353,59 @@ def read_lines(path: str | Path) -> Iterator[str]:
         try:
             yield from handle
         except UnicodeDecodeError as exc:
-            raise _not_utf8(path, exc, FormatError) from None
-
-
-def read_json(path: str | Path, error: type[FormatError] = FormatError) -> Any:
-    """``decode_json`` of a UTF-8 file; ``error`` names the file."""
-    text = read_text(path, error)
-    try:
-        return decode_json(text, error)
-    except error as exc:
-        raise error(f"{path}: {exc}") from None
+            raise _not_utf8(path, exc) from None
 
 
 def read_config(path: str | Path, build: Callable[[Any], Any]) -> Any:
-    """``build`` of a JSON file's document; a FormatError from either names the file."""
-    doc = read_json(path)
+    """``build`` of a JSON config file's decoded document; a FormatError from
+    reading, decoding or ``build`` names the file and keeps its class."""
+    text = read_text(path)
     try:
-        return build(doc)
+        return build(decode_json(text))
     except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
+_REQUIRED = object()
+# How a message names each type ``_field`` reads; a Mapping in memory reads as a JSON object.
+_PHRASES = {dict: "an object", collections.abc.Mapping: "an object", list: "an array", str: "a string",
+            bool: "a boolean", (int, float): "a number", (str, type(None)): "a string or null"}
+_OBJECTS = (dict, collections.abc.Mapping)
+
+
+def _field(doc: Mapping[str, Any], name: str, kind: Any, default: Any = _REQUIRED, where: str = "") -> Any:
+    """Field ``name`` of a config document read as ``kind``, or ``default`` when it is absent;
+    a FormatError names it as ``where + name`` when it is absent and required, is not ``kind``,
+    or holds, or is named by, a string that is not valid Unicode.  ``kind`` is a type in
+    ``_PHRASES``, a ``(test, phrase)`` pair, or a reader that returns what the value reads
+    as, raising ValueError with the reason, or UnicodeError."""
+    if name not in doc:
+        if default is _REQUIRED:
+            raise FormatError(f'missing field "{where}{name}"')
+        return default
+    value = doc[name]
+    phrase = _PHRASES.get(kind)
+    if phrase:
+        valid = isinstance(value, kind)
+    elif isinstance(kind, tuple):
+        test, phrase = kind
+        valid = test(value)
+    else:
+        try:
+            return kind(value)
+        except UnicodeError:
+            valid, phrase = False, "valid Unicode"
+        except ValueError as exc:
+            raise FormatError(f'field "{where}{name}": {exc}') from None
+    # An object read by type is not checked whole, as its fields are read, and checked,
+    # one by one; the name of any object is, as it may be a key taken from the document.
+    if valid and (not (kind in _OBJECTS or is_unicode(value))
+                  or isinstance(value, dict) and not is_unicode(name)):
+        valid, phrase = False, "valid Unicode"
+    if not valid:
+        raise FormatError(f'field "{where}{name}" is not {phrase}')
+    return value
 
 
 _SCALARS = (str, int, float, type(None))

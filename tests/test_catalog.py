@@ -99,6 +99,38 @@ def test_catalog_string_that_is_not_valid_unicode_names_the_tool(tmp_path, chang
         load_library(path)
 
 
+@pytest.mark.parametrize("tool, message", [
+    ({"id": "a", "name": {"k": 1}}, 'field "name" is not a string'),
+    ({"id": "a", "description": 7}, 'field "description" is not a string'),
+    ({"id": "a", "params": [{"name": "x", "required": "no"}]}, 'field "params[0].required" is not a boolean'),
+    ({"id": "a", "params": [{"name": "x", "type": 5}]}, 'field "params[0].type" is not a string'),
+], ids=["name", "description", "required", "type"])
+def test_catalog_field_of_the_wrong_type_is_rejected_naming_file_tool_and_field(tmp_path, tool, message):
+    # A catalog field is read as its documented type, never coerced to it.
+    path = write_catalog(tmp_path, [tool])
+    with pytest.raises(MalformedCatalogError) as err:
+        load_library(path)
+    assert str(err.value) == f"{path}: tool 'a': {message}"
+
+
+def test_catalog_fields_take_their_documented_defaults(tmp_path):
+    lib = load_library(write_catalog(tmp_path, [{"id": "a", "params": [{"name": "x"}]}]))
+    assert lib["a"] == ToolSpec("a", "a", "", (ToolParam("x", "string", True),), None)
+
+
+def test_deeply_nested_output_schema_loads_and_is_checked_for_unicode(tmp_path):
+    # Nesting the decoder accepts, but deeper than a recursive walk could go.
+    depth = 600
+    schema = json.loads('{"k": ' * depth + '"v"' + "}" * depth)
+    lib = load_library(write_catalog(tmp_path, [{"id": "a", "output_schema": schema}]))
+    assert lib["a"].output_schema == schema
+    path = write_catalog(tmp_path, [{"id": "a", "output_schema": json.loads(
+        '{"k": ' * depth + '"\\ud800"' + "}" * depth)}])
+    with pytest.raises(MalformedCatalogError) as err:
+        load_library(path)
+    assert str(err.value) == f'{path}: tool \'a\': field "output_schema" is not valid Unicode'
+
+
 def test_not_json_rejected(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("not json[", encoding="utf-8")

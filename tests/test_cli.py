@@ -660,9 +660,6 @@ def test_eval_peak_memory_is_under_half_of_loading_the_dataset(tmp_path):
     assert eval_peak < load_peak / 2, (eval_peak, load_peak)
 
 
-BAD_BINDING = "binding 't1' needs \"method\" GET/POST, string \"headers\", \"timeout\" > 0"
-
-
 @pytest.mark.parametrize("argv, name, text, message", [
     (["curate", "--dataset", "{data}", "--out", "{tmp}/kept.jsonl", "--fixture", "{file}"],
      "cassette.json", "[1, 2]", "a cassette is an object of response strings"),
@@ -675,23 +672,29 @@ BAD_BINDING = "binding 't1' needs \"method\" GET/POST, string \"headers\", \"tim
     (["exec", "--plan", "{plan}", "--registry", "{file}"],
      "bindings.json", "[]", "bindings are an object of tool id -> binding"),
     (["exec", "--plan", "{plan}", "--registry", "{file}"],
-     "bindings.json", '{"t1": {"url": 5}}', "binding 't1' has no string \"url\""),
+     "bindings.json", '{"t1": {"url": 5}}', 'field "t1.url" is not a string starting http:// or https://'),
     (["exec", "--plan", "{plan}", "--registry", "{file}"],
-     "bindings.json", '{"t1": "http://x"}', "binding 't1' has no string \"url\""),
+     "bindings.json", '{"t1": "http://x"}', 'field "t1" is not an object'),
     (["exec", "--plan", "{plan}", "--registry", "{file}"],
-     "bindings.json", '{"t1": {"url": "nonsense"}}', "binding 't1' has no string \"url\""),
+     "bindings.json", '{"t1": {"url": "nonsense"}}', 'field "t1.url" is not a string starting http:// or https://'),
     (["exec", "--plan", "{plan}", "--registry", "{file}"],
-     "bindings.json", '{"t1": {"url": "http://127.0.0.1:9", "headers": "oops"}}', BAD_BINDING),
+     "bindings.json", '{"t1": {"url": "http://127.0.0.1:9", "headers": "oops"}}',
+     'field "t1.headers" is not an object of strings'),
     (["exec", "--plan", "{plan}", "--registry", "{file}"],
-     "bindings.json", '{"t1": {"url": "http://127.0.0.1:9", "headers": {"X-Try": 2}}}', BAD_BINDING),
+     "bindings.json", '{"t1": {"url": "http://127.0.0.1:9", "headers": {"X-Try": 2}}}',
+     'field "t1.headers" is not an object of strings'),
     (["exec", "--plan", "{plan}", "--registry", "{file}"],
-     "bindings.json", '{"t1": {"url": "http://127.0.0.1:9", "timeout": "soon"}}', BAD_BINDING),
+     "bindings.json", '{"t1": {"url": "http://127.0.0.1:9", "timeout": "soon"}}',
+     'field "t1.timeout" is not a number of seconds above 0'),
     (["exec", "--plan", "{plan}", "--registry", "{file}"],
-     "bindings.json", '{"t1": {"url": "http://127.0.0.1:9", "timeout": true}}', BAD_BINDING),
+     "bindings.json", '{"t1": {"url": "http://127.0.0.1:9", "timeout": true}}',
+     'field "t1.timeout" is not a number of seconds above 0'),
     (["exec", "--plan", "{plan}", "--registry", "{file}"],
-     "bindings.json", '{"t1": {"url": "http://127.0.0.1:9", "timeout": 1e10}}', BAD_BINDING),
+     "bindings.json", '{"t1": {"url": "http://127.0.0.1:9", "timeout": 1e10}}',
+     'field "t1.timeout" is not a number of seconds above 0'),
     (["exec", "--plan", "{plan}", "--registry", "{file}"],
-     "bindings.json", '{"t1": {"url": "http://127.0.0.1:9", "method": "DELETE"}}', BAD_BINDING),
+     "bindings.json", '{"t1": {"url": "http://127.0.0.1:9", "method": "DELETE"}}',
+     'field "t1.method" is not GET or POST'),
 ], ids=["curate-cassette-list", "curate-cassette-number", "run-cassette-list",
         "gen-cassette-string", "exec-bindings-list", "exec-url-number", "exec-binding-string",
         "exec-url-not-http",
@@ -714,18 +717,18 @@ def test_malformed_cassette_or_bindings_exits_two(tmp_path, capsys, argv, name, 
     (["gen", "--offline", "--library", "{file}"], "catalog.json", '{"tools": []}',
      "top-level value is not an array"),
     (["gen", "--offline", "--difficulty-config", "{file}"], "bands.json", '{"Easy": 5}',
-     'bands are objects of "candidates" and "required"'),
+     'field "Easy" is not an object'),
     (["gen", "--offline", "--difficulty-config", "{file}"], "bands.json",
      '{"Easy": {"candidates": [5, 4], "required": [1, 2]}}', "band ranges must be non-empty"),
-    (["gen", "--client-config", "{file}"], "client.json", "[1, 2]", "not an object of strings"),
+    (["gen", "--client-config", "{file}"], "client.json", "[1, 2]", "top-level value is not an object"),
     (["gen", "--client-config", "{file}"], "client.json", '{"base_url": "http://x", "timeout": [1]}',
-     'a numeric "timeout"'),
+     'field "timeout" is not a number of seconds above 0'),
     (["gen", "--client-config", "{file}"], "client.json", '{"base_url": "http://127.0.0.1:9", "timeout": -1}',
-     'a numeric "timeout" above 0'),
+     'field "timeout" is not a number of seconds above 0'),
     (["gen", "--client-config", "{file}"], "client.json", '{"base_url": "http://127.0.0.1:9", "timeout": false}',
-     'a numeric "timeout" above 0'),
+     'field "timeout" is not a number of seconds above 0'),
     (["gen", "--client-config", "{file}"], "client.json", '{"base_url": "http://127.0.0.1:9", "timeout": 1e10}',
-     'a numeric "timeout" above 0'),
+     'field "timeout" is not a number of seconds above 0'),
 ], ids=["catalog-deep-nesting", "catalog-object", "bands-number", "bands-empty-range",
         "client-config-list", "client-config-timeout-list", "client-config-timeout-negative",
         "client-config-timeout-bool", "client-config-timeout-beyond-timeout-max"])
@@ -884,7 +887,32 @@ def test_gen_catalog_with_duplicate_tool_id_exits_two(tmp_path, capsys):
     library = write(tmp_path, "dup.json", json.dumps([tool, tool]))
     assert main(["gen", "--offline", "--library", library, "--counts", "Easy=1",
                  "--out", str(tmp_path / "x.jsonl")]) == 2
-    assert capsys.readouterr().err == "dagplan: duplicate tool id 'cat0.tool0'\n"
+    assert capsys.readouterr().err == f"dagplan: {library}: duplicate tool id 'cat0.tool0'\n"
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([5], "tool #0 is not an object"),
+    ([{"id": "a", "params": [{"name": "x", "type": "weird"}]}], "tool 'a': parameter 'x' has unknown type 'weird'"),
+], ids=["tool-number", "unknown-param-type"])
+def test_gen_catalog_error_starts_with_the_catalog_path(tmp_path, capsys, doc, message):
+    library = write(tmp_path, "cat.json", json.dumps(doc))
+    assert main(["gen", "--offline", "--library", library, "--counts", "Easy=1",
+                 "--out", str(tmp_path / "x.jsonl")]) == 2
+    assert capsys.readouterr().err == f"dagplan: {library}: {message}\n"
+
+
+@pytest.mark.parametrize("argv, name, doc, message", [
+    (["report", "{file}"], "s.json", {"groups": 5}, 'field "groups" is not an object'),
+    (["gen", "--client-config", "{file}", "--counts", "Easy=1", "--out", "{tmp}/x.jsonl"], "c.json",
+     {"model": 5}, 'field "model" is not a string'),
+], ids=["report", "client-config"])
+def test_report_and_client_config_errors_start_with_the_path_and_name_the_field(
+        tmp_path, capsys, argv, name, doc, message):
+    file = write(tmp_path, name, json.dumps(doc))
+    assert main([arg.format(file=file, tmp=tmp_path) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"dagplan: {file}: {message}\n"
+    assert out == ""
 
 
 RUN_TOOLS = ["cat0.tool0", "cat0.tool1", "cat0.tool2"]

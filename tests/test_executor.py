@@ -39,6 +39,7 @@ from dagplan import (
     trace_to_dot,
 )
 from dagplan.executor import MAX_WORKERS, _map_jobs, preflight
+from dagplan.plan import FormatError
 from helpers import chain_plan, cycles_left_by, fan_out_plan, loopback, make_plan, random_gold
 
 
@@ -400,6 +401,20 @@ def test_http_registry_from_file_resolves_its_tools(tmp_path):
         assert registry.invoke("t.post", {"x": 1}) == {"echo": {"x": 1}, "path": "/run/t.post"}
     finally:
         endpoint.close()
+
+
+@pytest.mark.parametrize("bindings, field", [
+    ({"t\ud800": {"url": "http://127.0.0.1:9"}}, "t\ud800"),
+    ({"t": {"url": "http://127.0.0.1:9/\ud800"}}, "t.url"),
+    ({"t": {"url": "http://127.0.0.1:9", "headers": {"X-Key": "\udfff"}}}, "t.headers"),
+], ids=["tool-id", "url", "header"])
+def test_http_registry_rejects_a_binding_that_is_not_valid_unicode(tmp_path, bindings, field):
+    # A lone surrogate cannot be quoted into a URL or sent as a header.
+    path = tmp_path / "registry.json"
+    path.write_text(json.dumps(bindings), encoding="utf-8")
+    with pytest.raises(FormatError) as err:
+        HttpRegistry.from_file(path)
+    assert str(err.value) == f'{path}: field "{field}" is not valid Unicode'
 
 
 def test_http_registry_gives_up_with_tool_error():

@@ -69,6 +69,18 @@ def test_only_http_request_imports_the_http_stack():
     assert scopes_of(imports_http_stack) == {("clients.py", "http_request")}
 
 
+def test_only_the_field_checker_words_a_field_error():
+    # One checker: `plan._field` is the one place a message names a config
+    # field, so every config reader words a bad field the same way.
+    def words_a_field_error(node):
+        if isinstance(node, ast.JoinedStr) and node.values:
+            node = node.values[0]
+        return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and node.value.startswith(('field "', 'missing field "')))
+
+    assert scopes_of(words_a_field_error) == {("plan.py", "_field")}
+
+
 # The public API, fixed by the ROADMAP: every name `dagplan/__init__.py` exports.
 PUBLIC_NAMES = {
     "AuthorExhaustedError", "Band", "BandUnsatisfiableError", "BuildStats", "CONNECTIVITY_PENALTY",
