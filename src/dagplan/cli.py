@@ -35,11 +35,12 @@ import sys
 from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 from . import __version__
 from .catalog import ToolLibrary, load_library, synth_library
-from .clients import ClientError, CompletionClient, FixtureClient, HttpCompletionClient, valid_timeout
+from .clients import (ClientError, CompletionClient, FixtureClient, HttpCompletionClient, valid_timeout,
+                      valid_url)
 from .curation import curate, split_train_test
 from .executor import (
     HttpRegistry,
@@ -103,8 +104,8 @@ def _client_config(doc: Any) -> dict[str, Any]:
     """The settings a client config document holds; FormatError naming a field of the wrong kind."""
     if not isinstance(doc, dict):
         raise FormatError("top-level value is not an object")
-    kinds = {"base_url": str, "model": str, "api_key_env": str,
-             "timeout": (valid_timeout, "a number of seconds above 0")}
+    kinds = {"base_url": (valid_url, "a string starting http:// or https://"), "model": str,
+             "api_key_env": str, "timeout": (valid_timeout, "a number of seconds above 0")}
     return {key: _field(doc, key, kind) for key, kind in kinds.items() if key in doc}
 
 
@@ -182,50 +183,46 @@ def cmd_validate(args: argparse.Namespace) -> int:
 # --- score ---------------------------------------------------------------
 
 
-def _iter_plan_lines(path: str) -> Iterator[tuple[str, Any, Any]]:
-    """Yield (location, id, plan) per non-blank line of a JSONL plan file, decoded once.
+def _plan_line(line: str) -> tuple[Any, Any]:
+    """(id, plan) of a line of a JSONL plan file, decoded once.
 
     An object's "candidate", or a dataset record's "gold_plan", is the plan,
     with the object's "id".  Any other line is its own plan, with no id: its
     document, or the raw line when it is not JSON or decodes to a string, so
     ``parse_plan`` reads it as text.
     """
-    for number, line in enumerate(read_lines(path), 1):
-        line = line.rstrip("\n")
-        if not line.strip():
-            continue
-        try:
-            doc = decode_json(line)
-        except FormatError:
-            doc = line
-        location = f"{path} line {number}"
-        if isinstance(doc, dict) and "candidate" in doc:
-            yield location, doc.get("id"), doc["candidate"]
-        elif isinstance(doc, dict) and "gold_plan" in doc:
-            yield location, doc.get("id"), doc["gold_plan"]
-        else:
-            yield location, None, line if isinstance(doc, str) else doc
+    try:
+        doc = decode_json(line)
+    except FormatError:
+        doc = line
+    if isinstance(doc, dict) and "candidate" in doc:
+        return doc.get("id"), doc["candidate"]
+    if isinstance(doc, dict) and "gold_plan" in doc:
+        return doc.get("id"), doc["gold_plan"]
+    return None, line if isinstance(doc, str) else doc
+
+
+def _gold_line(line: str) -> tuple[Any, Any]:
+    """(id, parsed gold) of a golds line; FormatError with the reason it is not a plan."""
+    gold_id, plan = _plan_line(line)
+    try:
+        return gold_id, parse_plan(plan)
+    except PlanSyntaxError as exc:
+        raise FormatError(exc.reason) from None
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    candidates = list(_iter_plan_lines(args.candidates))
-    golds = list(_iter_plan_lines(args.golds))
+    candidates = list(read_lines(args.candidates, _plan_line))
+    golds = list(read_lines(args.golds, _gold_line))
     if len(candidates) != len(golds):
         raise UsageError(f"{len(candidates)} candidates vs {len(golds)} golds; counts must match")
     rows = []
-    histogram: Counter[str] = Counter()
-    for (_, cand_id, candidate), (location, gold_id, plan) in zip(candidates, golds):
-        try:
-            gold = parse_plan(plan)
-        except PlanSyntaxError as exc:
-            raise FormatError(f"{location}: {exc.reason}") from None
+    for (cand_id, candidate), (gold_id, gold) in zip(candidates, golds):
         breakdown = score_plan(candidate, gold, self_loops=args.self_loop)
-        histogram[breakdown.branch.value] += 1
-        row = {"id": cand_id or gold_id, **breakdown.to_dict()}
-        rows.append(row)
+        rows.append({"id": cand_id or gold_id, **breakdown.to_dict()})
     summary = {
         "count": len(rows),
-        "branches": dict(sorted(histogram.items())),
+        "branches": dict(sorted(Counter(row["branch"] for row in rows).items())),
         "mean_value": (sum(r["value"] for r in rows) / len(rows)) if rows else 0.0,
     }
     out_lines = "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows)
@@ -254,14 +251,17 @@ def _print_metrics_table(doc: dict[str, Any]) -> None:
         print(" ".join(cells))
 
 
+def _prediction_line(line: str) -> tuple[str, Any]:
+    """(id, candidate) of a predictions object; a dataset record's "gold_plan" serves as its candidate."""
+    doc = decode_json(line)
+    if not isinstance(doc, dict):
+        raise FormatError("prediction is not an object")
+    key = "gold_plan" if "gold_plan" in doc and "candidate" not in doc else "candidate"
+    return _field(doc, "id", str), _field(doc, key, lambda candidate: candidate)
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
-    predictions: dict[str, Any] = {}
-    for _, pred_id, candidate in _iter_plan_lines(args.predictions):
-        if pred_id is None:
-            raise UsageError("eval predictions must be JSONL objects with an 'id' field")
-        if not isinstance(pred_id, str):
-            raise FormatError(f'{args.predictions}: a prediction "id" is not a string')
-        predictions[pred_id] = candidate
+    predictions = dict(read_lines(args.predictions, _prediction_line))
 
     # The dataset streams: each record is scored as it is read, then dropped.
     records = iter_records(args.dataset)
@@ -346,7 +346,7 @@ def cmd_exec(args: argparse.Namespace) -> int:
     try:
         plan = parse_plan(read_text(args.plan), self_loops=args.self_loop)
     except PlanSyntaxError as exc:
-        raise FormatError(f"cannot parse plan: {exc.reason}") from None
+        raise FormatError(f"{args.plan}: cannot parse plan: {exc.reason}") from None
     trace = execute(plan, _resolve_registry(args), args.policy, max_workers=args.jobs)
     for nid, result in trace.nodes.items():
         line = f"wave {result.wave}  {result.status:<8} {nid} ({result.tool})"
@@ -410,7 +410,7 @@ _NUMBERS = (lambda v: isinstance(v, dict) and all(isinstance(n, (int, float)) fo
 
 def _print_summary(doc: Any) -> None:
     """Print a summary document as the table its sections call for, or as JSON;
-    FormatError naming a section of the wrong type, before anything is printed."""
+    FormatError naming a section or count of the wrong type, before anything is printed."""
     fields = doc if isinstance(doc, dict) else {}
     if "groups" in fields:
         groups = _field(doc, "groups", dict)
@@ -427,9 +427,9 @@ def _print_summary(doc: Any) -> None:
         print(f"{'mean_value':<14}{mean_value:>7.3f}")
     elif "histogram" in fields:
         histogram = _field(doc, "histogram", _NUMBERS)
-        print(f"kept {doc.get('kept')} / {doc.get('input_count')} "
-              f"(easy {doc.get('excluded_easy')}, hard {doc.get('excluded_hard')}, "
-              f"unprofiled {doc.get('unprofiled')})")
+        kept, inputs, easy, hard, unprofiled = (_field(doc, name, (int, float), None) for name in (
+            "kept", "input_count", "excluded_easy", "excluded_hard", "unprofiled"))
+        print(f"kept {kept} / {inputs} (easy {easy}, hard {hard}, unprofiled {unprofiled})")
         print(f"{'solve rate':<12}{'tasks':>7}")
         for rate, count in histogram.items():
             print(f"{rate:<12}{count:>7}")

@@ -93,7 +93,7 @@ class DifficultyConfig:
     def __post_init__(self) -> None:
         for name in self.bands:
             if name not in DIFFICULTIES:
-                raise ValueError(f"unknown difficulty {name!r}")
+                raise FormatError(f"unknown difficulty {name!r}")
 
     def band(self, difficulty: str) -> Band:
         try:
@@ -107,15 +107,16 @@ class DifficultyConfig:
         and ``"required"`` [lo, hi] integer pairs (list or tuple, no bools) that make a ``Band``."""
         if not isinstance(doc, Mapping):
             raise FormatError('bands are objects of "candidates" and "required" [lo, hi] integers')
-        ranges = {}
+        bands = {}
         for name in doc:
             spec = _field(doc, name, collections.abc.Mapping)
-            ranges[name] = [tuple(_field(spec, key, _RANGE, where=f"{name}."))
-                            for key in ("candidates", "required")]
-        try:
-            return cls({name: Band(*pair) for name, pair in ranges.items()})
-        except ValueError as exc:
-            raise FormatError(str(exc)) from None
+            ranges = [tuple(_field(spec, key, _RANGE, where=f"{name}."))
+                      for key in ("candidates", "required")]
+            try:
+                bands[name] = Band(*ranges)
+            except ValueError as exc:
+                raise FormatError(f"band {name!r}: {exc}") from None
+        return cls(bands)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "DifficultyConfig":
@@ -247,16 +248,8 @@ def save_records(records: Iterable[DatasetRecord], path: str | Path, *, append: 
 
 
 def iter_records(path: str | Path) -> Iterator[DatasetRecord]:
-    """Read a JSONL dataset file; a FormatError names the 1-based line and the field."""
-    for number, line in enumerate(read_lines(path), 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = DatasetRecord.from_dict(decode_json(line))
-        except FormatError as exc:
-            raise FormatError(f"{path} line {number}: {exc}") from None
-        yield record
+    """Read a JSONL dataset file; a FormatError names the file, the 1-based line and the field."""
+    return read_lines(path, lambda line: DatasetRecord.from_dict(decode_json(line.strip())))
 
 
 def load_records(path: str | Path) -> list[DatasetRecord]:

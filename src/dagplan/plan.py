@@ -346,12 +346,19 @@ def read_text(path: str | Path) -> str:
         raise _not_utf8(path, exc) from None
 
 
-def read_lines(path: str | Path) -> Iterator[str]:
-    """The lines of a UTF-8 file, read as they are consumed; a FormatError
-    names the file when it is not UTF-8."""
+def read_lines(path: str | Path, build: Callable[[str], Any]) -> Iterator[Any]:
+    """``build`` of each non-blank line of a UTF-8 JSONL file, minus its newline,
+    read as they are consumed; a FormatError from ``build`` names the file and
+    the 1-based line and keeps its class, and one names the file when it is not UTF-8."""
     with open(path, encoding="utf-8") as handle:
         try:
-            yield from handle
+            for number, line in enumerate(handle, 1):
+                try:
+                    if line.strip():
+                        yield build(line.rstrip("\n"))
+                except FormatError as exc:
+                    exc.args = (f"{path} line {number}: {exc}",)
+                    raise
         except UnicodeDecodeError as exc:
             raise _not_utf8(path, exc) from None
 

@@ -234,7 +234,7 @@ def test_eval_prediction_id_that_is_not_a_string_exits_two(tmp_path, capsys):
     predictions = write(tmp_path, "preds.jsonl", '{"id": [1], "candidate": "x"}\n')
     assert main(["eval", "--predictions", predictions, "--dataset", dataset]) == 2
     err = capsys.readouterr().err
-    assert 'preds.jsonl: a prediction "id" is not a string' in err
+    assert 'preds.jsonl line 1: field "id" is not a string' in err
     assert "Traceback" not in err
 
 
@@ -460,6 +460,12 @@ def test_exec_unparseable_plan_is_io_error(tmp_path):
     assert main(["exec", "--plan", plan_file]) == 2
 
 
+def test_exec_plan_that_is_not_a_plan_names_the_file(tmp_path, capsys):
+    plan_file = write(tmp_path, "bad.json", '{"nodes": 5}')
+    assert main(["exec", "--plan", plan_file]) == 2
+    assert capsys.readouterr().err == f'dagplan: {plan_file}: cannot parse plan: "nodes" is not an array\n'
+
+
 def test_exec_plan_over_the_node_limit_is_io_error(tmp_path, capsys):
     # Node i references node i // 2: each far reference costs preflight a walk.
     n = 3000
@@ -635,7 +641,7 @@ def test_eval_reports_malformed_predictions_before_a_malformed_dataset(tmp_path,
     dataset = write(tmp_path, "data.jsonl", "{}\n")
     predictions = write(tmp_path, "preds.jsonl", '{"id": 5, "candidate": "x"}\n')
     assert main(["eval", "--predictions", predictions, "--dataset", dataset]) == 2
-    assert capsys.readouterr().err == f'dagplan: {predictions}: a prediction "id" is not a string\n'
+    assert capsys.readouterr().err == f'dagplan: {predictions} line 1: field "id" is not a string\n'
 
 
 def test_eval_peak_memory_is_under_half_of_loading_the_dataset(tmp_path):
@@ -791,12 +797,13 @@ def test_band_config_in_memory_takes_tuples():
     assert config.bands["Easy"] == Band((5, 10), (2, 4))
 
 
-@pytest.mark.parametrize("argv, env", [
-    (["--base-url", "ftp://127.0.0.1:9"], {}),
-    ([], {"DAGPLAN_BASE_URL": "nonsense"}),
-    (["--client-config", "{file}"], {}),
+@pytest.mark.parametrize("argv, env, expected", [
+    (["--base-url", "ftp://127.0.0.1:9"], {}, "does not start with http:// or https://"),
+    ([], {"DAGPLAN_BASE_URL": "nonsense"}, "does not start with http:// or https://"),
+    (["--client-config", "{file}"], {},
+     'client.json: field "base_url" is not a string starting http:// or https://'),
 ], ids=["flag", "environment", "client-config"])
-def test_base_url_that_is_not_http_exits_two(tmp_path, capsys, monkeypatch, argv, env):
+def test_base_url_that_is_not_http_exits_two(tmp_path, capsys, monkeypatch, argv, env, expected):
     monkeypatch.delenv("DAGPLAN_BASE_URL", raising=False)
     for key, value in env.items():
         monkeypatch.setenv(key, value)
@@ -805,7 +812,7 @@ def test_base_url_that_is_not_http_exits_two(tmp_path, capsys, monkeypatch, argv
     assert main(["gen", *(arg.format(file=config) for arg in argv), "--counts", "Easy=1",
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "does not start with http:// or https://" in err and "Traceback" not in err
+    assert expected in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -824,6 +831,33 @@ def test_report_with_mistyped_section_exits_two_naming_the_field(tmp_path, capsy
     out, err = capsys.readouterr()
     assert field in err
     assert out == ""
+
+
+@pytest.mark.parametrize("value", ['"\\ud800"', '"three"', "[1]", "null"],
+                         ids=["surrogate", "string", "array", "null"])
+def test_report_curation_count_that_is_not_a_number_exits_two_naming_the_field(tmp_path, capsys, value):
+    # A lone surrogate printed to a UTF-8 stdout would fail mid-table with exit 1.
+    summary = write(tmp_path, "stats.json", '{"histogram": {}, "input_count": 3, "kept": %s}' % value)
+    assert main(["report", summary]) == 2
+    out, err = capsys.readouterr()
+    assert err == f'dagplan: {summary}: field "kept" is not a number\n'
+    assert out == ""
+
+
+def test_report_prints_an_absent_curation_count_as_none(tmp_path, capsys):
+    assert main(["report", write(tmp_path, "stats.json", '{"histogram": {"0.5": 1}, "kept": 1}')]) == 0
+    assert capsys.readouterr().out == (
+        "kept 1 / None (easy None, hard None, unprofiled None)\nsolve rate    tasks\n0.5               1\n")
+
+
+def test_band_range_error_names_the_band(tmp_path, capsys):
+    doc = {"Easy": {"candidates": [5, 10], "required": [2, 4]}, "Hard": {"candidates": [5, 4], "required": [1, 2]}}
+    with pytest.raises(FormatError, match=r"^band 'Hard': band ranges must be non-empty and positive"):
+        DifficultyConfig.from_dict(doc)
+    bands = write(tmp_path, "bands.json", json.dumps(doc))
+    assert main(["gen", "--offline", "--difficulty-config", bands, "--counts", "Easy=1",
+                 "--out", str(tmp_path / "gen.jsonl")]) == 2
+    assert capsys.readouterr().err.startswith(f"dagplan: {bands}: band 'Hard': band ranges must be non-empty")
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -871,8 +905,7 @@ def test_eval_prediction_without_id_is_usage_error(tmp_path, capsys):
     dataset = write(tmp_path, "data.jsonl", _record_line() + "\n")
     predictions = write(tmp_path, "preds.jsonl", VALID + "\n")
     assert main(["eval", "--predictions", predictions, "--dataset", dataset]) == 2
-    assert capsys.readouterr().err == (
-        "dagplan: eval predictions must be JSONL objects with an 'id' field\n")
+    assert capsys.readouterr().err == f'dagplan: {predictions} line 1: missing field "id"\n'
 
 
 def test_gen_counts_that_are_not_integers_are_usage_errors(tmp_path, capsys):

@@ -81,6 +81,18 @@ def test_only_the_field_checker_words_a_field_error():
     assert scopes_of(words_a_field_error) == {("plan.py", "_field")}
 
 
+def test_only_the_jsonl_reader_words_a_line_location():
+    # One reader: `plan.read_lines` is the one place that numbers the lines of a
+    # JSONL file, so every line error starts `<path> line N: ` the same way.
+    def words_a_line_location(node):
+        return isinstance(node, ast.JoinedStr) and any(
+            isinstance(value, ast.FormattedValue) and isinstance(after, ast.Constant)
+            and str(after.value).startswith(" line ")
+            for value, after in zip(node.values, node.values[1:]))
+
+    assert scopes_of(words_a_line_location) == {("plan.py", "read_lines")}
+
+
 # The public API, fixed by the ROADMAP: every name `dagplan/__init__.py` exports.
 PUBLIC_NAMES = {
     "AuthorExhaustedError", "Band", "BandUnsatisfiableError", "BuildStats", "CONNECTIVITY_PENALTY",
