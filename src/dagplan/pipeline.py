@@ -130,7 +130,7 @@ class DifficultyConfig:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Provenance:
     generator: str
     teacher_model: str | None = None
@@ -159,7 +159,7 @@ def _gold_problem(plan: PlanGraph, offered: set[str]) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DatasetRecord:
     """One benchmark instance: query, offered tools, gold plan, difficulty."""
 
@@ -210,7 +210,7 @@ class DatasetRecord:
             raise FormatError("record is not an object")
         record_id = _field(doc, "id", str)
         query = _field(doc, "query", str)
-        tools = tuple(_field(doc, "candidate_tools", _STRINGS))
+        tools = _field(doc, "candidate_tools", _strings)
         gold = _field(doc, "gold_plan", _gold_plan)
         difficulty = _field(doc, "difficulty", str)
         prov = _field(doc, "provenance", dict, {})
@@ -222,7 +222,15 @@ class DatasetRecord:
         return cls(record_id, query, tools, gold, difficulty, provenance)
 
 
-_STRINGS = (lambda v: isinstance(v, list) and all(isinstance(t, str) for t in v), "an array of strings")
+def _strings(value: Any) -> tuple[str, ...]:
+    """An array of strings as a tuple, checked in one join; TypeError unless it is one."""
+    if not isinstance(value, list):
+        raise TypeError("an array of strings")
+    try:
+        "".join(value).encode("utf-8")
+    except TypeError:
+        raise TypeError("an array of strings") from None
+    return tuple(value)
 
 
 def _gold_plan(doc: Any) -> PlanGraph:
@@ -249,7 +257,7 @@ def save_records(records: Iterable[DatasetRecord], path: str | Path, *, append: 
 
 def iter_records(path: str | Path) -> Iterator[DatasetRecord]:
     """Read a JSONL dataset file; a FormatError names the file, the 1-based line and the field."""
-    return read_lines(path, lambda line: DatasetRecord.from_dict(decode_json(line.strip())))
+    return read_lines(path, lambda line: DatasetRecord.from_dict(decode_json(line)))
 
 
 def load_records(path: str | Path) -> list[DatasetRecord]:

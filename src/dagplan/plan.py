@@ -51,7 +51,7 @@ class CycleError(ValueError):
         self.cycle = list(cycle)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlanNode:
     """One tool invocation: a plan-local id, the tool it calls, and its args.
 
@@ -68,12 +68,13 @@ class PlanNode:
     args: Mapping[str, Any] = field(default_factory=dict)
 
     def __init__(self, id: str, tool: str, args: Mapping[str, Any] | None = None):
-        # Writes the instance dict once, which costs less than the generated
-        # frozen __init__'s one object.__setattr__ per field.
-        self.__dict__.update(id=id, tool=tool, args=_copy_args(args, 1, id) if args else {})
+        # Slots, not an instance dict: a loaded node is one object less for the cycle collector.
+        _set(self, "id", id)
+        _set(self, "tool", tool)
+        _set(self, "args", _copy_args(args, 1, id) if args else {})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlanEdge:
     """A directed dependency: ``dst`` consumes after ``src`` completes."""
 
@@ -107,8 +108,8 @@ class PlanGraph:
     edges: tuple[PlanEdge, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        object.__setattr__(self, "edges", tuple(self.edges))
+        _set(self, "nodes", tuple(self.nodes))
+        _set(self, "edges", tuple(self.edges))
         ids = set()
         tools = set()
         for node in self.nodes:
@@ -310,12 +311,7 @@ def is_unicode(value: Any) -> bool:
     if isinstance(value, str):
         if value.isascii():
             return True
-    elif isinstance(value, list):
-        try:
-            value = "".join(value)  # an array of strings is checked as one string
-        except TypeError:
-            pass
-    elif not isinstance(value, dict):
+    elif not isinstance(value, (dict, list)):
         return True
     stack = [value]
     while stack:
@@ -354,7 +350,7 @@ def read_lines(path: str | Path, build: Callable[[str], Any]) -> Iterator[Any]:
         try:
             for number, line in enumerate(handle, 1):
                 try:
-                    if line.strip():
+                    if not line.isspace():
                         yield build(line.rstrip("\n"))
                 except FormatError as exc:
                     exc.args = (f"{path} line {number}: {exc}",)
@@ -386,7 +382,7 @@ def _field(doc: Mapping[str, Any], name: str, kind: Any, default: Any = _REQUIRE
     a FormatError names it as ``where + name`` when it is absent and required, is not ``kind``,
     or holds, or is named by, a string that is not valid Unicode.  ``kind`` is a type in
     ``_PHRASES``, a ``(test, phrase)`` pair, or a reader that returns what the value reads
-    as, raising ValueError with the reason, or UnicodeError."""
+    as, raising TypeError naming what it is not, ValueError with the reason, or UnicodeError."""
     if name not in doc:
         if default is _REQUIRED:
             raise FormatError(f'missing field "{where}{name}"')
@@ -401,6 +397,8 @@ def _field(doc: Mapping[str, Any], name: str, kind: Any, default: Any = _REQUIRE
     else:
         try:
             return kind(value)
+        except TypeError as exc:
+            valid, phrase = False, str(exc)
         except UnicodeError:
             valid, phrase = False, "valid Unicode"
         except ValueError as exc:
@@ -416,6 +414,7 @@ def _field(doc: Mapping[str, Any], name: str, kind: Any, default: Any = _REQUIRE
 
 
 _SCALARS = (str, int, float, type(None))
+_set = object.__setattr__  # how a frozen type's constructor sets its fields
 
 
 def _copy_args(value: Any, level: int, nid: str) -> Any:

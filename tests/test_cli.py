@@ -666,6 +666,26 @@ def test_eval_peak_memory_is_under_half_of_loading_the_dataset(tmp_path):
     assert eval_peak < load_peak / 2, (eval_peak, load_peak)
 
 
+def test_a_loaded_record_stays_under_5000_live_bytes_and_20_tracked_objects(tmp_path):
+    # With an instance dict per plan node, a record took about 6010 B and 24.1 tracked objects.
+    dataset = tmp_path / "data.jsonl"
+    assert main(["gen", "--offline", "--counts", "Easy=700,Medium=700,Hard=600", "--seed", "4",
+                 "--out", str(dataset)]) == 0
+    gc.collect()
+    before = len(gc.get_objects())
+    tracemalloc.start()
+    try:
+        records = load_records(dataset)
+        gc.collect()
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    tracked = len(gc.get_objects()) - before
+    assert len(records) == 2000
+    assert live / 2000 < 5000, live / 2000
+    assert tracked / 2000 < 20, tracked / 2000
+
+
 @pytest.mark.parametrize("argv, name, text, message", [
     (["curate", "--dataset", "{data}", "--out", "{tmp}/kept.jsonl", "--fixture", "{file}"],
      "cassette.json", "[1, 2]", "a cassette is an object of response strings"),

@@ -13,8 +13,10 @@ constructor does, and that a decoded candidate scores as its JSON text.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import math
+import pickle
 import tempfile
 from pathlib import Path
 
@@ -35,6 +37,7 @@ from dagplan import (
     score_plan,
     serialize_plan,
 )
+from dagplan.cli import main
 from dagplan.metrics import evaluate_groups
 from dagplan.plan import FormatError, PlanSyntaxError, plan_doc, plan_from_doc
 
@@ -247,6 +250,37 @@ def test_escaped_surrogate_pairs_load_and_save(tmp_path):
     records = load_records(path)
     save_records(records, tmp_path / "again.jsonl")
     assert load_records(tmp_path / "again.jsonl") == records
+
+
+def test_blank_and_whitespace_only_lines_are_skipped(tmp_path):
+    plain = tmp_path / "plain.jsonl"
+    save_records([DatasetRecord.from_dict(record_doc_with("query", q)) for q in ("q1", "q2")], plain)
+    first, second = plain.read_text(encoding="utf-8").splitlines()
+    spaced = tmp_path / "spaced.jsonl"
+    text = f"\n  \n{first}\n\t \r\n  {second} \n\n"
+    spaced.write_text(text, encoding="utf-8")
+    assert load_records(spaced) == load_records(plain)
+    spaced.write_text(text + '{"id": 5}\n', encoding="utf-8")
+    with pytest.raises(FormatError) as info:
+        load_records(spaced)
+    assert str(info.value) == f'{spaced} line 7: field "id" is not a string'
+
+
+def test_record_values_are_slotted_and_survive_copying(tmp_path):
+    path = tmp_path / "data.jsonl"
+    assert main(["gen", "--offline", "--counts", "Easy=3,Medium=3,Hard=3", "--seed", "4",
+                 "--out", str(path)]) == 0
+    records = load_records(path)
+    plan = records[-1].gold_plan
+    values = [records[-1], records[-1].provenance, *plan.nodes, *plan.edges]
+    assert {type(v) for v in values} == {DatasetRecord, Provenance, PlanNode, PlanEdge}
+    for value in values:
+        assert not hasattr(value, "__dict__"), type(value)  # no instance dict per value
+    assert pickle.loads(pickle.dumps(records)) == records
+    assert [copy.copy(r) for r in records] == records
+    assert copy.deepcopy(records) == records
+    assert [dataclasses.replace(r) for r in records] == records
+    assert [dataclasses.replace(n) for n in plan.nodes] == list(plan.nodes)
 
 
 # --- decode once: a plan document is read as its text would be ------------------
