@@ -32,7 +32,7 @@ import math
 import os
 import stat
 from dataclasses import dataclass, field
-from functools import cached_property
+from itertools import starmap
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
@@ -84,6 +84,20 @@ class PlanEdge:
     dst: str
 
 
+class _cached:
+    """``functools.cached_property`` as of Python 3.12: computed at first access and kept in
+    the instance dict, with no lock shared by all instances (a race computes a value twice)."""
+
+    def __init__(self, func: Callable[[Any], Any]):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, instance: Any, owner: type | None = None) -> Any:
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
 @dataclass(frozen=True, eq=False)
 class PlanGraph:
     """A plan as node and edge collections.
@@ -101,9 +115,9 @@ class PlanGraph:
     Equality is set-based: two graphs are equal iff their node sets (id, tool,
     args) and edge sets (src, dst) coincide, regardless of storage order.
 
-    The structural verdict (topological order, or a witness cycle) is computed
-    once per graph; ``topo_order``, ``detect_cycle`` and ``validate_graph``
-    all read it.
+    The cached views and the structural verdict (topological order, or a
+    witness cycle) are computed once per graph, without a lock;
+    ``topo_order``, ``detect_cycle`` and ``validate_graph`` all read the verdict.
     """
 
     nodes: tuple[PlanNode, ...]
@@ -146,45 +160,46 @@ class PlanGraph:
     def __iter__(self) -> Iterator[PlanNode]:
         return iter(self.nodes)
 
-    @cached_property
+    @_cached
     def node_index(self) -> Mapping[str, PlanNode]:
         return {n.id: n for n in self.nodes}
 
-    @cached_property
+    @_cached
     def edge_pairs(self) -> frozenset[tuple[str, str]]:
         """Edges as (src node id, dst node id) pairs."""
         return frozenset((e.src, e.dst) for e in self.edges)
 
-    @cached_property
+    @_cached
     def successors(self) -> Mapping[str, tuple[str, ...]]:
         out: dict[str, list[str]] = {n.id: [] for n in self.nodes}
         for e in self.edges:
             out[e.src].append(e.dst)
         return {nid: tuple(sorted(dsts)) for nid, dsts in out.items()}
 
-    @cached_property
+    @_cached
     def predecessors(self) -> Mapping[str, tuple[str, ...]]:
         inc: dict[str, list[str]] = {n.id: [] for n in self.nodes}
         for e in self.edges:
             inc[e.dst].append(e.src)
         return {nid: tuple(sorted(srcs)) for nid, srcs in inc.items()}
 
-    @cached_property
+    @_cached
     def tool_set(self) -> frozenset[str]:
         """The tools this plan invokes; node identity for scoring purposes."""
         return frozenset(n.tool for n in self.nodes)
 
-    @cached_property
+    @_cached
     def _verdict(self) -> tuple[tuple[str, ...], tuple[str, ...] | None]:
-        """Kahn's order, ties broken by ascending id, and the DFS witness cycle,
-        searched for only when the order comes up short (else None)."""
+        """Kahn's order, ties broken by ascending id by the heap alone (so successor lists
+        stay unsorted), and the witness cycle when the order comes up short (else None)."""
         indegree = {n.id: 0 for n in self.nodes}
+        succ: dict[str, list[str]] = {nid: [] for nid in indegree}
         for e in self.edges:
+            succ[e.src].append(e.dst)
             indegree[e.dst] += 1
         ready = [nid for nid, d in indegree.items() if not d]
         heapq.heapify(ready)
         order: list[str] = []
-        succ = self.successors
         while ready:
             nid = heapq.heappop(ready)
             order.append(nid)
@@ -192,9 +207,9 @@ class PlanGraph:
                 indegree[nxt] -= 1
                 if not indegree[nxt]:
                     heapq.heappush(ready, nxt)
-        return tuple(order), None if len(order) == len(indegree) else _witness_cycle(succ)
+        return tuple(order), None if len(order) == len(indegree) else _witness_cycle(self.successors)
 
-    @cached_property
+    @_cached
     def edge_tool_pairs(self) -> frozenset[tuple[str, str]]:
         """Edges as (source tool, target tool) pairs.
 
@@ -508,7 +523,7 @@ def plan_from_doc(doc: Any, *, self_loops: str = "reject") -> PlanGraph:
         pairs[src, dst] = None
 
     try:
-        graph = PlanGraph(tuple(nodes), tuple(PlanEdge(src, dst) for src, dst in pairs))
+        graph = PlanGraph(tuple(nodes), tuple(starmap(PlanEdge, pairs)))
     except ValueError as exc:
         raise PlanSyntaxError(str(exc)) from None
     if self_loops == "reject":
@@ -598,11 +613,11 @@ def check_connectivity(g: PlanGraph) -> tuple[bool, list[str]]:
     ids = [n.id for n in g.nodes]
     if len(ids) <= 1:
         return True, []
-    undirected: dict[str, set[str]] = {nid: set() for nid in ids}
+    undirected: dict[str, list[str]] = {nid: [] for nid in ids}
     for e in g.edges:
-        undirected[e.src].add(e.dst)
-        undirected[e.dst].add(e.src)
-    isolated = sorted(nid for nid in ids if not undirected[nid])
+        undirected[e.src].append(e.dst)
+        undirected[e.dst].append(e.src)
+    isolated = sorted([nid for nid, adjacent in undirected.items() if not adjacent])
     seen = {ids[0]}
     frontier = [ids[0]]
     while frontier:

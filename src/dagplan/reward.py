@@ -90,8 +90,9 @@ def edge_f1(predicted: Iterable, gold: Iterable) -> float:
 
 
 def score_plan(candidate: Any, gold: PlanGraph, *, self_loops: str = "reject") -> RewardBreakdown:
-    """Score one candidate against a gold plan: ``score_group`` of one candidate."""
-    return score_group([candidate], gold, self_loops=self_loops)[0]
+    """Score one candidate against a gold plan; equal to ``score_group([candidate], gold)[0]``."""
+    _check_gold(gold)
+    return _score(candidate, gold, self_loops)
 
 
 def score_group(candidates: Sequence[Any], gold: PlanGraph, *, self_loops: str = "reject") -> list[RewardBreakdown]:
@@ -104,29 +105,31 @@ def score_group(candidates: Sequence[Any], gold: PlanGraph, *, self_loops: str =
     passing all three score ``5*edge_f1 + 5*exact_match`` from
     ``metrics.score_pair``: edges compare as (source tool, target tool) pairs
     and exact match means tool-set and edge-set equality with the gold.  The
-    gold is checked once and each distinct text is scored once (a document
-    cannot be hashed, so each one is scored); results keep input order.
+    gold is checked once and each distinct text scored once, as ``score_plan``
+    would (a document cannot be hashed, so each is scored); results keep input order.
 
     Raises InvalidGoldError when the gold plan itself is cyclic; gold
     connectivity is a dataset-build-time obligation and is not checked here.
     """
-    gold_cycle = detect_cycle(gold)
-    if gold_cycle is not None:
-        raise InvalidGoldError("gold plan is cyclic: " + " -> ".join(gold_cycle))
+    _check_gold(gold)
+    texts = {t: _score(t, gold, self_loops) for t in dict.fromkeys(c for c in candidates if isinstance(c, str))}
+    return [texts[c] if isinstance(c, str) else _score(c, gold, self_loops) for c in candidates]
 
-    def score(candidate: Any) -> RewardBreakdown:
-        report = validate_text(candidate, self_loops=self_loops)
-        if not report.fully_valid:
-            branch = RewardBranch(report.failed_check)
-            return RewardBreakdown(branch, _PENALTIES[branch], detail=report.detail)
-        pair = score_pair(report.graph, gold)
-        value = EDGE_F1_SCALE * pair.edge_f1 + PERFECT_MATCH_BONUS * pair.exact_match
-        return RewardBreakdown(
-            RewardBranch.FIDELITY, value, edge_f1=pair.edge_f1, perfect_match=bool(pair.exact_match)
-        )
 
-    texts = {text: score(text) for text in dict.fromkeys(c for c in candidates if isinstance(c, str))}
-    return [texts[c] if isinstance(c, str) else score(c) for c in candidates]
+def _check_gold(gold: PlanGraph) -> None:
+    cycle = detect_cycle(gold)
+    if cycle is not None:
+        raise InvalidGoldError("gold plan is cyclic: " + " -> ".join(cycle))
+
+
+def _score(candidate: Any, gold: PlanGraph, self_loops: str) -> RewardBreakdown:
+    report = validate_text(candidate, self_loops=self_loops)
+    if not report.fully_valid:
+        branch = RewardBranch(report.failed_check)
+        return RewardBreakdown(branch, _PENALTIES[branch], detail=report.detail)
+    pair = score_pair(report.graph, gold)
+    value = EDGE_F1_SCALE * pair.edge_f1 + PERFECT_MATCH_BONUS * pair.exact_match
+    return RewardBreakdown(RewardBranch.FIDELITY, value, edge_f1=pair.edge_f1, perfect_match=bool(pair.exact_match))
 
 
 @dataclass(frozen=True)

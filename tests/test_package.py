@@ -207,3 +207,15 @@ def test_only_cli_main_names_the_cycle_collector():
                 or isinstance(node, ast.ImportFrom) and node.module == "gc")
 
     assert scopes_of(names_gc) == {("cli.py", "<module>"), ("cli.py", "main")}
+
+
+def test_no_module_names_functools_cached_property():
+    # Before Python 3.12 every cached_property holds one lock shared by all the
+    # instances of its class; PlanGraph's views are computed once per graph
+    # without one, and a returning cached_property would bring the lock back.
+    def names_cached_property(node):
+        return (isinstance(node, ast.Name) and node.id == "cached_property"
+                or isinstance(node, ast.Attribute) and node.attr == "cached_property"
+                or isinstance(node, ast.alias) and node.name == "cached_property")
+
+    assert scopes_of(names_cached_property) == set()

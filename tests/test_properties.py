@@ -4,14 +4,19 @@
 ``preflight``'s reference check with ancestor sets computed here by a walk up
 the test's own edge list.  The structural verdict a graph computes once and
 caches is compared with that Kahn's algorithm and with an uncached copy of
-``detect_cycle``'s depth-first search.  ``execute`` records whatever
-exception a registry raises as its node's failure.
+``detect_cycle``'s depth-first search, also when eight threads compute it at
+once, and ``check_connectivity`` with components found by union-find here.
+``execute`` records whatever exception a registry raises as its node's failure.
 """
 
 from __future__ import annotations
 
 import builtins
+import copy
 import heapq
+import pickle
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -165,6 +170,67 @@ def test_the_cached_verdict_matches_the_uncached_checks_in_any_call_order(graph,
         if got:
             got.reverse()
             got.append("mutated")
+
+
+@settings(max_examples=300, deadline=None)
+@given(looped_edge_lists())
+def test_check_connectivity_matches_union_find_components_and_degree_zero_nodes(graph):
+    n, edges = graph
+    parent = list(range(n))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for a, b in edges:
+        parent[root(a)] = root(b)
+    components = len({root(i) for i in range(n)})
+    # A self-loop gives its node degree 2, so only a node on no edge is isolated.
+    touched = {i for edge in edges for i in edge}
+    isolated = sorted(node_id(i) for i in range(n) if i not in touched) if n > 1 else []
+    assert check_connectivity(build(n, edges)) == (components == 1, isolated)
+
+
+VIEWS = ("node_index", "edge_pairs", "successors", "predecessors", "tool_set", "_verdict", "edge_tool_pairs")
+
+
+@settings(max_examples=50, deadline=None)
+@given(looped_edge_lists())
+def test_eight_threads_first_reading_the_cached_views_at_once_all_read_equal_values(graph):
+    n, edges = graph
+    g = build(n, edges)
+    barrier = threading.Barrier(8, timeout=10)
+    seen: list[dict] = [{} for _ in range(8)]
+
+    def read(k: int) -> None:
+        barrier.wait()
+        # Each thread starts at a different view, so every view has a first reader racing others.
+        for name in VIEWS[k % len(VIEWS):] + VIEWS[:k % len(VIEWS)]:
+            seen[k][name] = getattr(g, name)
+
+    threads = [threading.Thread(target=read, args=(k,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    fresh = build(n, edges)
+    assert all(views == {name: getattr(fresh, name) for name in VIEWS} for views in seen)
+    order = reference_kahn(n, edges)
+    if order is not None:
+        assert topo_order(g) == order
+    else:
+        assert detect_cycle(g) == uncached_cycle(g)
+    for clone in (copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert clone == fresh
+        assert {name: getattr(clone, name) for name in VIEWS} == seen[0]
+        assert validate_graph(clone) == validate_graph(fresh)
 
 
 @settings(max_examples=300, deadline=None)
